@@ -20,7 +20,6 @@ from .bins import (
     coherence_time,
     coherence_time_from_delay,
     detuning_profile,
-    dimensionality,
     extract_bins_from_map,
     predict_bins,
 )
@@ -40,13 +39,10 @@ from .fringes import (
     FringeScan,
     fit_fringe_scan,
     fringe_model_eval,
-    fringe_theta_model,
-    lm_fit,
     seed_guess,
     synth_scan,
 )
 from .hom import (
-    bunched_fraction,
     bunching_probability,
     coincidence_probability,
     coincidence_spectrum,
@@ -107,7 +103,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "build_restricted_dm",
-    "bunched_fraction",
     "bunching_probability",
     "coherence_time",
     "coherence_time_from_delay",
@@ -116,7 +111,6 @@ __all__ = [
     "default_grid",
     "detuning_density",
     "detuning_profile",
-    "dimensionality",
     "eof_lower_bound",
     "eof_reference_comparison",
     "extract_bins_from_map",
@@ -126,9 +120,7 @@ __all__ = [
     "fringe_params_from_reference",
     "fringe_probability",
     "fringe_scan",
-    "fringe_theta_model",
     "levenberg_marquardt",
-    "lm_fit",
     "load_scenario",
     "marginal_bandwidth",
     "predict_bins",

@@ -5,7 +5,7 @@ anti-bunching comb, detunings d with (1 - cos(2 pi d tau1)) maximal. Each
 surviving comb lobe defines one pair of frequency bins at nu0 +- mu/2.
 This module predicts those bins from the source model, extracts them from
 a sampled 2D coincidence spectrum, and carries the small bookkeeping
-around bin states (coherence time, dimensionality).
+around bin states (coherence time).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "detuning_profile",
     "coherence_time",
     "coherence_time_from_delay",
-    "dimensionality",
 ]
 
 # Time-bandwidth constant for a Gaussian-like single lobe: tau_c = TBP / df.
@@ -351,10 +350,3 @@ def coherence_time_from_delay(tau1_ps: float) -> float:
     if not np.isfinite(tau1_ps) or tau1_ps <= 0:
         raise ValueError("tau1 must be positive")
     return GAUSSIAN_TIME_BANDWIDTH * 4.0 * tau1_ps
-
-
-def dimensionality(state: DiscreteState) -> int:
-    """Number of frequency bins needed to carry the state's correlations."""
-    if len(state.pairs) == 0:
-        raise ValueError("state has no bin pairs")
-    return state.dimension_m

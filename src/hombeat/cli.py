@@ -16,11 +16,9 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from .bins import ExtractionError, extract_bins_from_map, predict_bins
 from .density import build_restricted_dm, eof_lower_bound, eof_reference_comparison
-from .fringes import FringeScan, fit_fringe_scan
+from .fringes import SeedingError, fit_fringe_scan, sample_scan
 from .hom import coincidence_spectrum, fringe_probability
 from .io import (
     IOFormatError,
@@ -138,19 +136,10 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, fmt: str):
 def cmd_scan(scenario: Scenario, out_dir: str, fmt: str):
     """Write the noiseless scan curve plus an optional Poisson realization."""
     cfg = scenario.scan
-    tau2 = np.linspace(cfg.tau2_min_ps, cfg.tau2_max_ps, cfg.n_points)
-    probs = fringe_probability(scenario.model, scenario.tau1_ps, tau2)
-    if cfg.counts_per_point > 0:
-        rng = np.random.default_rng(cfg.seed)
-        counts = rng.poisson(cfg.counts_per_point * probs).astype(float)
-        scan = FringeScan(tau2_ps=tau2, values=counts,
-                          uncertainties=np.sqrt(np.maximum(counts, 1.0)),
-                          counts_mode=True,
-                          counts_per_point=cfg.counts_per_point)
-    else:
-        scan = FringeScan(tau2_ps=tau2, values=probs,
-                          uncertainties=np.zeros_like(tau2),
-                          counts_mode=False, counts_per_point=None)
+    scan, probs = sample_scan(
+        lambda tau2: fringe_probability(scenario.model, scenario.tau1_ps, tau2),
+        cfg.tau2_min_ps, cfg.tau2_max_ps, cfg.n_points,
+        cfg.counts_per_point, cfg.seed)
     scan_path = os.path.join(out_dir, f"scan.{fmt}")
     if fmt == "json":
         write_scan_json(scan, probs, scan_path, seed=cfg.seed)
@@ -270,7 +259,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ExtractionError, NonConvergedError) as exc:
+    except (ExtractionError, NonConvergedError, SeedingError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IOFormatError as exc:

@@ -20,13 +20,17 @@ __all__ = [
     "FringeModelParams",
     "FringeScan",
     "FitResult",
+    "SeedingError",
     "fringe_model_eval",
-    "fringe_theta_model",
+    "sample_scan",
     "synth_scan",
     "seed_guess",
-    "lm_fit",
     "fit_fringe_scan",
 ]
+
+
+class SeedingError(ValueError):
+    """A scan shows too little spectral structure to seed a fit."""
 
 
 @dataclass(frozen=True)
@@ -149,33 +153,48 @@ class FringeScan:
         return self.uncertainties
 
 
-def synth_scan(params: FringeModelParams, tau2_min_ps: float, tau2_max_ps: float,
-               n_points: int, counts_per_point: int, seed: int = 0) -> FringeScan:
-    """Synthetic delay scan of the fringe model.
+def sample_scan(probability, tau2_min_ps: float, tau2_max_ps: float,
+                n_points: int, counts_per_point: int = 0,
+                seed: int = 0) -> tuple[FringeScan, np.ndarray]:
+    """Delay scan of a probability curve on a uniform tau2 grid.
 
+    ``probability`` maps the tau2 array (ps) to the model probabilities.
     With counts_per_point >= 1 each sample draws from a Poisson law with
-    mean counts_per_point times the model probability (reproducible for a
-    fixed seed). counts_per_point = 0 returns the noiseless probability
-    curve instead; the seed is ignored.
+    mean counts_per_point times the probability (reproducible for a fixed
+    seed); counts_per_point = 0 returns the noiseless curve and ignores the
+    seed. Returns the scan and the probability curve it was drawn from.
     """
     if n_points < 3:
         raise ValueError("scan needs at least 3 points")
-    if not (np.isfinite(tau2_min_ps) and np.isfinite(tau2_max_ps)) \
-            or tau2_max_ps <= tau2_min_ps:
-        raise ValueError("invalid scan range")
+    if not (np.isfinite(tau2_min_ps) and np.isfinite(tau2_max_ps)):
+        raise ValueError("scan range must be finite")
+    if tau2_max_ps <= tau2_min_ps:
+        raise ValueError("scan range is empty")
     if counts_per_point < 0:
         raise ValueError("counts_per_point must not be negative")
     tau2 = np.linspace(tau2_min_ps, tau2_max_ps, n_points)
-    probs = fringe_model_eval(params, tau2)
+    probs = probability(tau2)
     if counts_per_point == 0:
-        return FringeScan(tau2_ps=tau2, values=probs,
+        scan = FringeScan(tau2_ps=tau2, values=probs,
                           uncertainties=np.zeros_like(tau2),
                           counts_mode=False, counts_per_point=None)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(counts_per_point * probs).astype(float)
-    sigma = np.sqrt(np.maximum(counts, 1.0))
-    return FringeScan(tau2_ps=tau2, values=counts, uncertainties=sigma,
-                      counts_mode=True, counts_per_point=int(counts_per_point))
+    else:
+        counts = np.random.default_rng(seed).poisson(
+            counts_per_point * probs).astype(float)
+        scan = FringeScan(tau2_ps=tau2, values=counts,
+                          uncertainties=np.sqrt(np.maximum(counts, 1.0)),
+                          counts_mode=True,
+                          counts_per_point=int(counts_per_point))
+    return scan, probs
+
+
+def synth_scan(params: FringeModelParams, tau2_min_ps: float, tau2_max_ps: float,
+               n_points: int, counts_per_point: int, seed: int = 0) -> FringeScan:
+    """Synthetic delay scan of the fringe model (see ``sample_scan``)."""
+    scan, _ = sample_scan(lambda tau2: fringe_model_eval(params, tau2),
+                          tau2_min_ps, tau2_max_ps, n_points,
+                          counts_per_point, seed)
+    return scan
 
 
 def _significant_dft_peaks(scan: FringeScan) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +240,8 @@ def seed_guess(scan: FringeScan, m: int) -> FringeModelParams:
                          f"for m={m}, got {scan.n_points}")
     freqs, _ = _significant_dft_peaks(scan)
     if freqs.size < n_pairs:
-        raise ValueError(f"found {freqs.size} significant spectral peaks, "
-                         f"need {n_pairs}")
+        raise SeedingError(f"found {freqs.size} significant spectral peaks, "
+                           f"need {n_pairs}")
     mus = np.sort(freqs[:n_pairs])
 
     y = np.abs(scan.probabilities() - 0.5)
@@ -288,15 +307,13 @@ def _unpack(theta: np.ndarray, n_pairs: int):
     return tau_c, comps
 
 
-def fringe_theta_model(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _theta_model(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Fringe model evaluated on the internal parameter vector.
 
     Layout: theta[0] is the log coherence time, followed by one triple
     (detuning_thz, logit amplitude, phase_rad) per pair, where amplitude
-    is the weight-visibility product. This is the default residual model
-    for lm_fit; a replacement must accept the same layout.
+    is the weight-visibility product.
     """
-    theta = np.asarray(theta, dtype=float)
     n_pairs = (theta.size - 1) // 3
     tau_c = np.exp(theta[0])
     env = np.clip(1.0 - np.abs(2.0 * tau2_ps / tau_c), 0.0, None)
@@ -308,45 +325,43 @@ def fringe_theta_model(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def lm_fit(residual_model, initial_guess, scan: FringeScan,
-           options: LMOptions | None = None,
-           known_weights=None) -> FitResult:
-    """Weighted least-squares fit of a fringe model to a scan.
+def fit_fringe_scan(scan: FringeScan, m: int | None = None,
+                    known_weights=None, initial: FringeModelParams | None = None,
+                    options: LMOptions | None = None) -> FitResult:
+    """Weighted least-squares fit of the fringe model to a scan.
 
     Parameters
     ----------
-    residual_model:
-        Callable (tau2_array, theta) -> model probabilities on the
-        internal layout of ``fringe_theta_model`` (pass that function for
-        the standard model).
-    initial_guess:
-        FringeModelParams or a raw internal parameter vector.
     scan:
         The data; counts are fitted as probabilities with Poisson weights,
         noiseless scans unweighted.
+    m:
+        Number of frequency bins. When ``initial`` is omitted the starting
+        point comes from seed_guess; when ``m`` is also omitted the pair
+        count is taken from the number of significant spectral peaks.
     known_weights:
         Per-pair weights in ascending-detuning order, when an independent
         spectral measurement provides them. The fit itself determines only
         the product A*V per pair; with weights given, visibilities follow
         as V = (A*V)/A, otherwise every pair is assigned the shared
         visibility V = sum(A*V) and weights proportional to the amplitudes.
+    initial:
+        Explicit starting parameters, in place of the automatic seed.
     """
-    if isinstance(initial_guess, FringeModelParams):
-        seed = initial_guess
-        theta0 = _pack(seed)
+    if initial is not None:
+        if m is not None and m != 2 * len(initial.pairs):
+            raise ValueError("m disagrees with the initial parameter count")
+        seed = initial
     else:
-        theta0 = np.asarray(initial_guess, dtype=float)
-        if theta0.ndim != 1 or (theta0.size - 1) % 3:
-            raise ValueError("raw initial guess must be 1D with length 1+3k")
-        tau_c0, comps0 = _unpack(theta0, (theta0.size - 1) // 3)
-        total0 = sum(c for _, c, _ in comps0)
-        seed = FringeModelParams(
-            coherence_time_ps=tau_c0,
-            pairs=tuple(FringePairParams(weight=c / total0, detuning_thz=mu,
-                                         visibility=min(total0, 1.0),
-                                         phase_deg=phi)
-                        for mu, c, phi in comps0))
-    n_pairs = (theta0.size - 1) // 3
+        if m is None:
+            freqs, _ = _significant_dft_peaks(scan)
+            if freqs.size == 0:
+                raise SeedingError("no significant spectral peaks; cannot "
+                                   "auto-detect the bin count")
+            m = 2 * int(freqs.size)
+        seed = seed_guess(scan, m)
+    theta0 = _pack(seed)
+    n_pairs = len(seed.pairs)
     if scan.n_points <= theta0.size:
         raise ValueError("scan shorter than the free parameter count")
 
@@ -357,7 +372,7 @@ def lm_fit(residual_model, initial_guess, scan: FringeScan,
     t = scan.tau2_ps
 
     def residual(theta):
-        return (residual_model(t, theta) - y) / sig
+        return (_theta_model(t, theta) - y) / sig
 
     lm_res: LMResult = levenberg_marquardt(residual, theta0, options)
 
@@ -415,28 +430,3 @@ def lm_fit(residual_model, initial_guess, scan: FringeScan,
         seed_params=seed,
         weights_supplied=known_weights is not None,
     )
-
-
-def fit_fringe_scan(scan: FringeScan, m: int | None = None,
-                    known_weights=None, initial: FringeModelParams | None = None,
-                    options: LMOptions | None = None) -> FitResult:
-    """Fit the standard fringe model, seeding automatically.
-
-    When ``initial`` is omitted the starting point comes from seed_guess;
-    when ``m`` is also omitted the pair count is taken from the number of
-    significant spectral peaks in the scan.
-    """
-    if initial is not None:
-        if m is not None and m != 2 * len(initial.pairs):
-            raise ValueError("m disagrees with the initial parameter count")
-        seed = initial
-    else:
-        if m is None:
-            freqs, _ = _significant_dft_peaks(scan)
-            if freqs.size == 0:
-                raise ValueError("no significant spectral peaks; cannot "
-                                 "auto-detect the bin count")
-            m = 2 * int(freqs.size)
-        seed = seed_guess(scan, m)
-    return lm_fit(fringe_theta_model, seed, scan, options,
-                  known_weights=known_weights)

@@ -1,102 +1,38 @@
-"""Two-photon interference integrals for the cascaded delay interferometer.
+"""Two-photon interference probabilities for the cascaded delay interferometer.
 
 The first delay tau1 modulates the joint spectrum with the anti-bunching
 comb; the second delay tau2 produces spatial-beating fringes between the
-anti-bunched components. All probabilities here are evaluated by quadrature
-against the model's detuning density, which is exact for any pump width.
+anti-bunched components. Every delay-domain probability here is a closed
+form in G(tau), the Fourier transform of the model's detuning density
+(``BiphotonSpectrumModel.detuning_coherence``), which is exact for any pump
+width. Only the wavelength-domain maps are sampled on a grid.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fringes import FringeScan
+from .fringes import FringeScan, sample_scan
 from .spectral import (
     BiphotonSpectrumModel,
     FrequencyGrid,
     JointSpectrumMap,
     default_grid,
-    detuning_density,
 )
 from .units import C_NM_PER_PS
 
 __all__ = [
-    "DelayConfig",
-    "PurificationConfig",
-    "PurificationSummary",
     "coincidence_spectrum",
     "coincidence_probability",
     "bunching_probability",
     "fringe_probability",
     "fringe_scan",
-    "bunched_fraction",
 ]
 
 _verf = np.frompyfunc(math.erf, 1, 1)
-
-
-@dataclass(frozen=True)
-class DelayConfig:
-    """Delays of the two interferometer stages, ps."""
-
-    tau1_ps: float
-    tau2_ps: float | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.tau1_ps) or self.tau1_ps < 0:
-            raise ValueError("tau1_ps must be finite and non-negative")
-        if self.tau2_ps is not None and not np.isfinite(self.tau2_ps):
-            raise ValueError("tau2_ps must be finite")
-
-
-@dataclass(frozen=True)
-class PurificationConfig:
-    """Polarization-based removal of the bunched two-photon term.
-
-    The two polarizers sit in the separated output arms at mutually
-    orthogonal angles, which keeps exactly one of the four equal-weight
-    polarization terms of the post-beamsplitter state.
-    """
-
-    enabled: bool = True
-    polarizer_angles_deg: tuple[float, float] = (0.0, 90.0)
-
-    def __post_init__(self):
-        a, b = self.polarizer_angles_deg
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError("polarizer angles must be finite")
-        if abs(abs(a - b) % 180.0 - 90.0) > 1e-9:
-            raise ValueError("polarizer angles must be mutually orthogonal")
-
-
-@dataclass(frozen=True)
-class PurificationSummary:
-    """Probability bookkeeping of the four post-beamsplitter terms."""
-
-    bunched_weight: float
-    anti_bunched_weight: float
-    accepted_fraction: float
-
-
-def bunched_fraction(purification: PurificationConfig) -> PurificationSummary:
-    """Weights of the bunched and anti-bunched channels.
-
-    Without purification the coincidence channel carries equal bunched and
-    anti-bunched weight (two of four equal-weight terms each). With the
-    orthogonal polarizers only the single anti-bunched opposite-port term
-    survives, i.e. one quarter of all pairs with zero bunched contamination.
-    """
-    if purification.enabled:
-        return PurificationSummary(
-            bunched_weight=0.0, anti_bunched_weight=1.0, accepted_fraction=0.25
-        )
-    return PurificationSummary(
-        bunched_weight=0.5, anti_bunched_weight=0.5, accepted_fraction=1.0
-    )
 
 
 def _fold_delay(tau_ps: float, name: str = "tau1") -> float:
@@ -109,37 +45,21 @@ def _fold_delay(tau_ps: float, name: str = "tau1") -> float:
     return float(tau_ps)
 
 
-def _detuning_grid(model: BiphotonSpectrumModel, n: int = 12001,
-                   span_sigmas: float = 7.5) -> np.ndarray:
-    # 7.5 sigma keeps the Fourier-truncation ripple of the cosine transforms
-    # below 1e-12, so flat regions of delay curves come out numerically flat.
-    half = 2.0 * span_sigmas * model.sigma_single_thz
-    return np.linspace(-half, half, n)
-
-
-def coincidence_probability(model: BiphotonSpectrumModel, tau1_ps: float,
-                            n: int = 8001) -> float:
+def coincidence_probability(model: BiphotonSpectrumModel,
+                            tau1_ps: float) -> float:
     """Coincidence probability after the first beamsplitter.
 
-    P(tau1) = (1/4) * integral of f * |1 - exp(i*2*pi*d*tau1)|^2, which is
-    zero at tau1 = 0 (the interference dip) and approaches 1/2 once the
-    delay exceeds the pair coherence time.
+    P(tau1) = (1/4) * integral of f * |1 - exp(i*2*pi*d*tau1)|^2
+    = (1 - G(tau1)) / 2, which is zero at tau1 = 0 (the interference dip)
+    and approaches 1/2 once the delay exceeds the pair coherence time.
     """
-    tau1 = _fold_delay(tau1_ps)
-    d = _detuning_grid(model, n)
-    g = detuning_density(model, d)
-    integrand = 0.5 * g * (1.0 - np.cos(2.0 * np.pi * d * tau1))
-    return float(np.trapezoid(integrand, d))
+    return 0.5 * (1.0 - model.detuning_coherence(_fold_delay(tau1_ps)))
 
 
-def bunching_probability(model: BiphotonSpectrumModel, tau1_ps: float,
-                         n: int = 8001) -> float:
-    """Complementary both-photons-one-port probability at the first stage."""
-    tau1 = _fold_delay(tau1_ps)
-    d = _detuning_grid(model, n)
-    g = detuning_density(model, d)
-    integrand = 0.5 * g * (1.0 + np.cos(2.0 * np.pi * d * tau1))
-    return float(np.trapezoid(integrand, d))
+def bunching_probability(model: BiphotonSpectrumModel,
+                         tau1_ps: float) -> float:
+    """Complementary both-photons-one-port probability, (1 + G(tau1)) / 2."""
+    return 0.5 * (1.0 + model.detuning_coherence(_fold_delay(tau1_ps)))
 
 
 def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
@@ -229,54 +149,38 @@ def coincidence_spectrum(model: BiphotonSpectrumModel, tau1_ps: float,
 
 
 def fringe_probability(model: BiphotonSpectrumModel, tau1_ps: float,
-                       tau2_ps, n: int = 8001):
+                       tau2_ps):
     """Opposite-port coincidence probability of the cascaded interferometer.
 
     Built from the four cascaded two-photon amplitudes: the first stage
     weights each detuning by |1 - exp(i*2*pi*d*tau1)|^2 (anti-bunching),
     the second by |1 + exp(i*2*pi*d*tau2)|^2. After purification the result
-    is normalized by the first-stage coincidence probability, giving 1 at
-    tau2 = 0, 1/4 at tau2 = +-tau1 and 1/2 far outside the coherence time.
+    is normalized by the first-stage coincidence probability:
 
-    ``tau2_ps`` may be a scalar or an array.
+        P = 1/2 [1 + (G(tau2) - G(tau2 - tau1)/2 - G(tau2 + tau1)/2)
+                     / (1 - G(tau1))],
+
+    giving 1 at tau2 = 0, 1/4 at tau2 = +-tau1 and 1/2 far outside the
+    coherence time. ``tau2_ps`` may be a scalar or an array.
     """
     tau1 = _fold_delay(tau1_ps)
-    if tau1 == 0:
-        raise ValueError("fringe probability undefined at tau1=0: the first "
-                         "stage has no anti-bunched component")
+    norm = 1.0 - model.detuning_coherence(tau1)
+    if norm <= 0:
+        raise ValueError(f"fringe probability undefined at tau1={tau1}: the "
+                         "first stage has no anti-bunched component")
     tau2 = np.asarray(tau2_ps, dtype=float)
     if not np.all(np.isfinite(tau2)):
         raise ValueError("tau2 must be finite")
-    d = _detuning_grid(model, n)
-    g = detuning_density(model, d)
-    w = g * (1.0 - np.cos(2.0 * np.pi * d * tau1))
-    norm = np.trapezoid(w, d)
-    osc = np.cos(2.0 * np.pi * np.outer(tau2.ravel(), d))
-    vals = 0.5 * (1.0 + osc @ (w * _trapezoid_weights(d)) / norm)
-    vals = vals.reshape(tau2.shape)
+    g = model.detuning_coherence
+    vals = 0.5 * (1.0 + (g(tau2) - 0.5 * g(tau2 - tau1) - 0.5 * g(tau2 + tau1))
+                  / norm)
     return float(vals) if np.isscalar(tau2_ps) else vals
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    return w
 
 
 def fringe_scan(model: BiphotonSpectrumModel, tau1_ps: float,
                 tau2_min_ps: float = -0.75, tau2_max_ps: float = 0.75,
                 n_points: int = 601) -> FringeScan:
     """Noiseless fringe probabilities on a uniform tau2 grid."""
-    if n_points < 3:
-        raise ValueError("scan needs at least 3 points")
-    if not (np.isfinite(tau2_min_ps) and np.isfinite(tau2_max_ps)):
-        raise ValueError("scan range must be finite")
-    if tau2_max_ps <= tau2_min_ps:
-        raise ValueError("scan range is empty")
-    tau2 = np.linspace(tau2_min_ps, tau2_max_ps, n_points)
-    values = fringe_probability(model, tau1_ps, tau2)
-    return FringeScan(tau2_ps=tau2, values=values,
-                      uncertainties=np.zeros_like(tau2),
-                      counts_mode=False, counts_per_point=None)
+    scan, _ = sample_scan(lambda tau2: fringe_probability(model, tau1_ps, tau2),
+                          tau2_min_ps, tau2_max_ps, n_points)
+    return scan

@@ -92,6 +92,18 @@ class BiphotonSpectrumModel:
     def pump_sigma_thz(self) -> float:
         return self.pump_fwhm_thz / FWHM_PER_SIGMA
 
+    def detuning_coherence(self, tau_ps):
+        """Fourier transform of the detuning density at delay tau (ps).
+
+        G(tau) = integral of f(d) cos(2 pi d tau) dd
+        = exp(-2 pi^2 sigma_d^2 tau^2), exact for any pump width. Every
+        delay-domain probability of the interferometer is a combination of
+        G at the stage delays.
+        """
+        tau = np.asarray(tau_ps, dtype=float)
+        out = np.exp(-2.0 * np.pi**2 * self.sigma_detuning_thz**2 * tau * tau)
+        return float(out) if np.isscalar(tau_ps) else out
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -221,31 +233,19 @@ def detuning_density(model: BiphotonSpectrumModel, detuning_thz):
     return float(out) if np.isscalar(detuning_thz) else out
 
 
-def _frequency_marginal(model: BiphotonSpectrumModel, nu1: np.ndarray) -> np.ndarray:
-    """Single-photon marginal density over nu1 (1/THz), numeric in the pump."""
-    sig_p = max(model.pump_sigma_thz, 1e-9)
-    sig1 = model.sigma_single_thz
-    # Integrate over u = nu1 + nu2 - nu_pump; the pump factor is narrow so
-    # a fixed stencil across +-8 pump sigmas resolves it fully.
-    u = np.linspace(-8.0 * sig_p, 8.0 * sig_p, 257)
-    pump = np.exp(-u * u / (2.0 * sig_p**2))
-    norm = 1.0 / (2.0 * np.pi * sig_p * sig1)
-    d = 2.0 * nu1[:, None] - model.sum_frequency_thz - u[None, :]
-    pm = np.exp(-d * d / (8.0 * sig1**2))
-    return norm * np.trapezoid(pump[None, :] * pm, u, axis=1)
-
-
 def marginal_bandwidth(model: BiphotonSpectrumModel, n_points: int = 4001) -> float:
     """FWHM (nm) of the single-photon wavelength marginal.
 
-    Computed by numeric marginalization over the partner photon, transformed
-    to the wavelength domain with its Jacobian, and measured between
-    interpolated half-maximum crossings.
+    The frequency marginal is Gaussian with variance sigma_1^2 +
+    sigma_p^2 / 4 (the partner photon integrated out in closed form). It is
+    transformed to the wavelength domain with its Jacobian and measured
+    between interpolated half-maximum crossings.
     """
-    sig_m = np.hypot(model.sigma_single_thz, 0.5 * max(model.pump_sigma_thz, 1e-9))
+    sig_m = np.hypot(model.sigma_single_thz, 0.5 * model.pump_sigma_thz)
     nu0 = model.center_frequency_thz
     nu = np.linspace(nu0 - 6.0 * sig_m, nu0 + 6.0 * sig_m, n_points)
-    dens_nu = _frequency_marginal(model, nu)
+    dens_nu = (np.exp(-(nu - nu0) ** 2 / (2.0 * sig_m**2))
+               / (np.sqrt(2.0 * np.pi) * sig_m))
     lam = C_NM_PER_PS / nu
     dens_lam = dens_nu * C_NM_PER_PS / lam**2
     order = np.argsort(lam)

@@ -7,7 +7,6 @@ from hombeat.bins import (
     FrequencyBinPair,
     coherence_time,
     coherence_time_from_delay,
-    dimensionality,
     extract_bins_from_map,
     predict_bins,
 )
@@ -146,16 +145,16 @@ class TestExtraction:
         for ex in extractions.values():
             assert 0.0 < ex.kde_bandwidth_thz < 1.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the benchmark lists {2.67, 6.94} THz at 0.20 ps, straddling "
+               "the bare comb; the symmetric Gaussian model cannot land "
+               "within 5 percent of both (inner lobe about 7.9 % low)")
     @pytest.mark.parametrize("tau1", [0.20])
     def test_extraction_matches_benchmark_table(self, extractions, tau1):
-        # the benchmark lists {2.67, 6.94} THz here; a symmetric model
-        # cannot land within 5 percent of both (honest disagreement,
-        # exercised as the expected failure it is)
         bench = [2.67, 6.94]
         got = detunings(extractions[tau1].state)
         rel = np.abs(got - bench) / np.asarray(bench)
-        if rel.max() >= 0.05:
-            pytest.xfail(f"deviations {np.round(rel * 100, 2)} % exceed 5 %")
         assert rel.max() < 0.05
 
     def test_featureless_map_is_rejected(self, model):
@@ -212,10 +211,6 @@ class TestDiscreteState:
     def make_pairs(self):
         return (FrequencyBinPair(1, 2.0, 0.6, 0.5),
                 FrequencyBinPair(2, 6.0, 0.4, 0.5))
-
-    def test_dimensionality(self, predicted_states):
-        assert dimensionality(predicted_states[0.37]) == 6
-        assert dimensionality(predicted_states[0.20]) == 4
 
     def test_bin_frequencies_symmetric(self):
         state = DiscreteState(self.make_pairs(), 810.0)

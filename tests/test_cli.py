@@ -188,6 +188,16 @@ class TestPipeline:
         assert "fit" in bundle["outputs"]
         assert "report" not in bundle["outputs"]
 
+    def test_failed_seeding_is_a_numeric_failure(self, tmp_path, capsys):
+        # At 5 ps the comb is too dense for the scan to resolve every
+        # extracted pair, so seeding finds fewer peaks than it needs.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"tau1_ps": 5}))
+        rc = main(["--scenario", str(path), "--out", str(tmp_path / "run"),
+                   "pipeline"])
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_default_scenario_pipeline(self, tmp_path):
         out = tmp_path / "run"
         assert main(["--out", str(out), "pipeline"]) == 0

@@ -8,8 +8,6 @@ from hombeat.fringes import (
     FringeScan,
     fit_fringe_scan,
     fringe_model_eval,
-    fringe_theta_model,
-    lm_fit,
     seed_guess,
     synth_scan,
 )
@@ -285,26 +283,12 @@ class TestNoiselessRoundTrip:
                                     detuning_thz=p.detuning_thz * 0.8,
                                     visibility=min(p.visibility * 1.2, 1.0),
                                     phase_deg=p.phase_deg * 1.2),))
-        fit = lm_fit(fringe_theta_model, perturbed, scan, known_weights=(1.0,))
+        fit = fit_fringe_scan(scan, initial=perturbed, known_weights=(1.0,))
         assert fit.converged
         got = fit.params.pairs[0]
         assert got.detuning_thz == pytest.approx(p.detuning_thz, abs=1e-4)
         assert got.visibility == pytest.approx(p.visibility, abs=1e-4)
         assert wrap_deg(got.phase_deg - p.phase_deg) == pytest.approx(0, abs=1e-3)
-
-    def test_accepts_raw_parameter_vector(self):
-        truth = fringe_params_from_reference(0.12)
-        scan = synth_scan(truth, -0.75, 0.75, 601, 0)
-        c = 0.7
-        theta0 = np.array([np.log(0.52), 4.2, np.log(c / (1 - c)), np.pi])
-        fit = lm_fit(fringe_theta_model, theta0, scan, known_weights=(1.0,))
-        assert fit.converged
-        assert fit.params.pairs[0].detuning_thz == pytest.approx(4.01, abs=1e-6)
-
-    def test_rejects_malformed_raw_vector(self):
-        scan = synth_scan(fringe_params_from_reference(0.12), -0.75, 0.75, 601, 0)
-        with pytest.raises(ValueError, match="1\\+3k"):
-            lm_fit(fringe_theta_model, np.zeros(3), scan)
 
 
 class TestVisibilitySplit:
@@ -363,7 +347,7 @@ class TestFitFringeScan:
         truth = fringe_params_from_reference(0.12)
         scan = synth_scan(truth, -0.3, 0.3, 4, 0)
         with pytest.raises(ValueError, match="shorter"):
-            lm_fit(fringe_theta_model, truth, scan)
+            fit_fringe_scan(scan, initial=truth)
 
     def test_overfit_component_is_killed_by_shrinkage(self):
         # A two-pair model fitted to single-pair data must park the spare
@@ -373,7 +357,7 @@ class TestFitFringeScan:
         seed = FringeModelParams(0.47, (
             FringePairParams(0.5, 4.0, 0.5, 180.0),
             FringePairParams(0.5, 6.5, 0.5, 180.0)))
-        fit = lm_fit(fringe_theta_model, seed, scan)
+        fit = fit_fringe_scan(scan, initial=seed)
         assert fit.converged
         amps = sorted(p.amplitude for p in fit.params.pairs)
         assert amps[0] < 0.02

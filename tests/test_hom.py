@@ -1,17 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hombeat import (
     BiphotonSpectrumModel,
-    bunched_fraction,
     bunching_probability,
     coincidence_probability,
     coincidence_spectrum,
+    detuning_density,
     fringe_probability,
     fringe_scan,
 )
-from hombeat.hom import DelayConfig, PurificationConfig
 from hombeat.units import C_NM_PER_PS
+
+
+def _trapezoid_oracle(model, weight):
+    """Trapezoid quadrature of detuning_density(d) * weight(d) over d.
+
+    12001 points across +-7.5 detuning standard deviations keep the
+    truncation and Fourier ripple of the cosine transforms below 1e-12.
+    ``weight`` maps the grid to an array whose last axis is the grid.
+    """
+    half = 7.5 * model.sigma_detuning_thz
+    d = np.linspace(-half, half, 12001)
+    return np.trapezoid(detuning_density(model, d) * weight(d), d, axis=-1)
+
+
+def _cos(d, tau):
+    return np.cos(2.0 * np.pi * np.multiply.outer(tau, d))
 
 
 class TestCoincidenceProbability:
@@ -155,31 +172,34 @@ class TestFringeScan:
             assert abs(got - want) <= bin_width
 
 
-class TestPurification:
-    def test_disabled_keeps_equal_channels(self):
-        summary = bunched_fraction(PurificationConfig(enabled=False))
-        assert summary.bunched_weight == 0.5
-        assert summary.anti_bunched_weight == 0.5
-        assert summary.accepted_fraction == 1.0
+class TestClosedFormAgainstQuadrature:
+    """The closed forms in G(tau) against direct quadrature of the density."""
 
-    def test_enabled_keeps_single_antibunched_term(self):
-        summary = bunched_fraction(PurificationConfig(enabled=True))
-        assert summary.bunched_weight == 0.0
-        assert summary.anti_bunched_weight == 1.0
-        assert summary.accepted_fraction == 0.25
+    TAUS = (0.0, 0.05, 0.12, 0.27, 0.37, 1.0, 3.0, 10.0)
 
-    def test_polarizers_must_be_orthogonal(self):
-        with pytest.raises(ValueError):
-            PurificationConfig(polarizer_angles_deg=(0.0, 45.0))
-        # orthogonality modulo 180 degrees is accepted
-        PurificationConfig(polarizer_angles_deg=(30.0, 120.0))
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_coincidence_and_bunching(self, model, tau):
+        anti = _trapezoid_oracle(model, lambda d: 0.5 * (1.0 - _cos(d, tau)))
+        bunched = _trapezoid_oracle(model, lambda d: 0.5 * (1.0 + _cos(d, tau)))
+        assert abs(coincidence_probability(model, tau) - anti) < 1e-12
+        assert abs(bunching_probability(model, tau) - bunched) < 1e-12
 
+    @pytest.mark.parametrize("tau1", (0.12, 0.20, 0.27, 0.37))
+    def test_fringe(self, model, tau1):
+        tau2 = np.linspace(-0.75, 0.75, 601)
+        norm = _trapezoid_oracle(model, lambda d: 1.0 - _cos(d, tau1))
+        beat = _trapezoid_oracle(
+            model, lambda d: _cos(d, tau2) * (1.0 - _cos(d, tau1)))
+        oracle = 0.5 * (1.0 + beat / norm)
+        got = fringe_probability(model, tau1, tau2)
+        assert np.max(np.abs(got - oracle)) < 1e-12
 
-class TestDelayConfig:
-    def test_negative_tau1_rejected(self):
-        with pytest.raises(ValueError):
-            DelayConfig(tau1_ps=-0.1)
-
-    def test_optional_tau2(self):
-        cfg = DelayConfig(tau1_ps=0.12)
-        assert cfg.tau2_ps is None
+    def test_fringe_memory_is_linear_in_scan_length(self, model):
+        tau2 = np.linspace(-1.0, 1.0, 2001)
+        tracemalloc.start()
+        try:
+            fringe_probability(model, 0.27, tau2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
