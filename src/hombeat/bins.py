@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import BiphotonSpectrumModel, JointSpectrumMap, detuning_density
 from .units import C_NM_PER_PS, FWHM_PER_SIGMA, frequency_to_wavelength
@@ -163,13 +164,20 @@ def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
                          center_wavelength_nm=model.center_wavelength_nm)
 
 
+# Beyond this many bandwidths the Gaussian kernel is below exp(-32) of its
+# peak, under the rounding of the profile.
+_KERNEL_REACH = 8.0
+
+
 def detuning_profile(map_: JointSpectrumMap, n_points: int = 1024):
     """Mass-weighted kernel density profile of the map over detuning.
 
-    Cell masses are spread with a Gaussian kernel whose bandwidth is twice
+    Cell masses are spread with a Gaussian kernel whose bandwidth h is twice
     the median spacing of the occupied detunings (at least two profile
     steps), which fills the gaps of the discrete sampling without moving
-    lobe centroids. Returns (detunings_thz, density, bandwidth_thz).
+    lobe centroids. Each occupied cell reaches only the profile points
+    within 8 h of it, where the kernel has fallen below exp(-32) of its
+    peak. Returns (detunings_thz, density, bandwidth_thz).
     """
     masses = map_.cell_masses().ravel()
     if masses.size == 0 or masses.max() <= 0:
@@ -181,17 +189,29 @@ def detuning_profile(map_: JointSpectrumMap, n_points: int = 1024):
     d, masses = d[keep], masses[keep]
 
     dmax = np.abs(d).max() * 1.02
+    if dmax == 0:
+        raise ExtractionError("map carries no mass off zero detuning")
     x = np.linspace(-dmax, dmax, n_points)
+    dx = x[1] - x[0]
     spacings = np.diff(np.sort(d))
     spacings = spacings[spacings > 1e-9]
     med = np.median(spacings) if spacings.size else 0.0
-    h = max(2.0 * med, 2.0 * (x[1] - x[0]))
+    h = max(2.0 * med, 2.0 * dx)
 
+    # Each cell reaches the profile points within `reach` steps of its
+    # nearest one. The loop runs over those offsets, so memory stays
+    # O(cells); points past either end are dropped, not clipped, so no
+    # mass lands twice. No offset beyond n_points - 1 can land inside.
+    reach = min(int(np.ceil(_KERNEL_REACH * h / dx)) + 1, n_points - 1)
+    nearest = np.rint((d - x[0]) / dx).astype(int)
     y = np.zeros(n_points)
-    for i0 in range(0, d.size, 4096):
-        sl = slice(i0, i0 + 4096)
-        y += (masses[sl][None, :]
-              * np.exp(-0.5 * ((x[:, None] - d[sl][None, :]) / h) ** 2)).sum(axis=1)
+    for k in range(-reach, reach + 1):
+        j = nearest + k
+        inside = (j >= 0) & (j < n_points)
+        j = j[inside]
+        y += np.bincount(j, masses[inside]
+                         * np.exp(-0.5 * ((x[j] - d[inside]) / h) ** 2),
+                         minlength=n_points)
     y /= h * np.sqrt(2.0 * np.pi)
     return x, y, h
 
@@ -223,8 +243,9 @@ def _extract_lobes(x: np.ndarray, y: np.ndarray, h: float) -> list[dict]:
     """
     if y.max() <= 0:
         return []
-    peaks = [i for i in range(2, y.size - 2)
-             if y[i] == y[i - 2:i + 3].max() and y[i] > 0.02 * y.max()]
+    core = y[2:-2]
+    peaks = (2 + np.nonzero((core == sliding_window_view(y, 5).max(axis=1))
+                            & (core > 0.02 * y.max()))[0]).tolist()
     merged: list[int] = []
     for i in peaks:
         if merged and i - merged[-1] < 5:
@@ -245,7 +266,9 @@ def _extract_lobes(x: np.ndarray, y: np.ndarray, h: float) -> list[dict]:
         if drop.size:
             lo = i - drop[0]
         fit = _log_parabola(x[lo:hi + 1], y[lo:hi + 1])
-        if fit is None:
+        # A fit without curvature, or one whose vertex falls on the other
+        # side of zero detuning, is no lobe of this side.
+        if fit is None or fit[0] <= 0:
             continue
         center, sigma = fit
         sigma = np.sqrt(max(sigma * sigma - h * h, 1e-12))
@@ -293,12 +316,14 @@ def extract_bins_from_map(map_: JointSpectrumMap,
     keep = vols >= threshold * vols.max()
     matched = [m for m, k in zip(matched, keep) if k]
 
-    # Degenerate frequency from the mass-weighted mean sum frequency.
-    masses = map_.cell_masses()
-    nu_s = C_NM_PER_PS / map_.signal_nm
-    nu_i = C_NM_PER_PS / map_.idler_nm
-    half_sum = 0.5 * (nu_s[:, None] + nu_i[None, :])
-    nu0 = float((masses * half_sum).sum() / masses.sum())
+    # Degenerate frequency from the mass-weighted mean sum frequency, taken
+    # over the two marginals so no second cell-mass array is built.
+    ws, wi = map_.cell_widths()
+    signal_mass = ws * (map_.intensity @ wi)
+    idler_mass = wi * (ws @ map_.intensity)
+    nu0 = float(0.5 * (signal_mass @ (C_NM_PER_PS / map_.signal_nm)
+                       + idler_mass @ (C_NM_PER_PS / map_.idler_nm))
+                / signal_mass.sum())
     lam0 = frequency_to_wavelength(nu0)
 
     total = sum(lp["vol"] + ln["vol"] for lp, ln in matched)

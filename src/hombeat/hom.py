@@ -32,7 +32,17 @@ __all__ = [
     "fringe_scan",
 ]
 
-_verf = np.frompyfunc(math.erf, 1, 1)
+# math.erf(x) is exactly +-1.0 in double precision for |x| >= 5.9216, so
+# erf is evaluated only inside this reach.
+_ERF_REACH = 6.0
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.erf, called only where the result is not +-1."""
+    out = np.sign(x)
+    near = np.abs(x) < _ERF_REACH
+    out[near] = [math.erf(v) for v in x[near]]
+    return out
 
 
 def _fold_delay(tau_ps: float, name: str = "tau1") -> float:
@@ -92,11 +102,12 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
     hi = np.maximum(nu_edges[1:], nu_edges[:-1])
 
     # Cell-integrated pump factor via the double antiderivative T with
-    # T'' = exp(-z^2 / (2 sig_p^2)).
+    # T'' = exp(-z^2 / (2 sig_p^2)). math.erf runs only on the few cells
+    # within about 8.5 sig_p of the pump line; everywhere else erf is +-1.
     def T(z):
         gz = np.exp(-z * z / (2.0 * sig_p**2))
         phi = sig_p * np.sqrt(np.pi / 2.0) * (
-            1.0 + _verf(z / (sig_p * np.sqrt(2.0))).astype(float))
+            1.0 + _erf(z / (sig_p * np.sqrt(2.0))))
         return z * phi + sig_p**2 * gz
 
     zp = model.sum_frequency_thz

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from hombeat.bins import (
     FrequencyBinPair,
     coherence_time,
     coherence_time_from_delay,
+    detuning_profile,
     extract_bins_from_map,
     predict_bins,
 )
-from hombeat.hom import jsi_map
+from hombeat.hom import coincidence_spectrum, jsi_map
 from hombeat.spectral import JointSpectrumMap
 from hombeat.units import C_NM_PER_PS
 
@@ -42,6 +45,39 @@ EXTRACTED_FWHM_NM = {
 }
 # benchmark fit values for the same source, ascending detuning
 BENCH_WEIGHTS = {0.27: [0.54, 0.46], 0.37: [0.41, 0.35, 0.24]}
+
+
+def _dense_profile(map_, n_points=1024):
+    """Oracle for detuning_profile: every cell's kernel at every point.
+
+    Same cells, grid and bandwidth as the package, but with no kernel reach:
+    the Gaussian sum runs over all occupied cells at each profile point.
+    """
+    masses = map_.cell_masses().ravel()
+    nu_s = C_NM_PER_PS / map_.signal_nm
+    nu_i = C_NM_PER_PS / map_.idler_nm
+    d = (nu_s[:, None] - nu_i[None, :]).ravel()
+    keep = masses > 1e-12 * masses.max()
+    d, masses = d[keep], masses[keep]
+    dmax = np.abs(d).max() * 1.02
+    x = np.linspace(-dmax, dmax, n_points)
+    spacings = np.diff(np.sort(d))
+    spacings = spacings[spacings > 1e-9]
+    med = np.median(spacings) if spacings.size else 0.0
+    h = max(2.0 * med, 2.0 * (x[1] - x[0]))
+    y = np.zeros(n_points)
+    for i0 in range(0, d.size, 4096):
+        sl = slice(i0, i0 + 4096)
+        y += (masses[sl][None, :]
+              * np.exp(-0.5 * ((x[:, None] - d[sl][None, :]) / h) ** 2)).sum(axis=1)
+    return x, y / (h * np.sqrt(2.0 * np.pi)), h
+
+
+def _assert_matches_dense_oracle(map_):
+    x, y, h = detuning_profile(map_)
+    x_ref, y_ref, h_ref = _dense_profile(map_)
+    assert np.array_equal(x, x_ref) and h == h_ref
+    assert np.max(np.abs(y - y_ref)) <= 1e-10 * y_ref.max()
 
 
 class TestPredictBins:
@@ -178,6 +214,55 @@ class TestExtraction:
     def test_threshold_range_enforced(self, spectrum_maps):
         with pytest.raises(ValueError, match="threshold"):
             extract_bins_from_map(spectrum_maps[0.27], threshold=1.0)
+
+    def test_no_lobe_is_fitted_across_zero_detuning(self, model):
+        # At 3 ps the comb is finer than the map resolves, and a lobe's
+        # log-parabola vertex can fall at negative detuning.
+        try:
+            extract_bins_from_map(coincidence_spectrum(model, 3.0))
+        except ExtractionError as err:
+            assert "+-" not in str(err)
+
+
+class TestDetuningProfile:
+    """The finite-reach KDE against the dense Gaussian sum it replaced."""
+
+    @pytest.mark.parametrize("tau1", (0.08, 0.12, 0.20, 0.27, 0.37, 0.80))
+    def test_matches_dense_oracle(self, model, spectrum_maps, tau1):
+        map_ = (spectrum_maps[tau1] if tau1 in spectrum_maps
+                else coincidence_spectrum(model, tau1))
+        _assert_matches_dense_oracle(map_)
+
+    def test_matches_dense_oracle_on_bare_spectrum(self, model):
+        _assert_matches_dense_oracle(jsi_map(model))
+
+    def test_edge_cell_mass_is_not_counted_twice(self):
+        # Uniform intensity: the corner cells, at the largest |detuning|,
+        # carry as much mass as any, and sit within the kernel reach of the
+        # profile ends, so indices past the ends must be dropped.
+        lam = np.linspace(800.0, 820.0, 64)
+        map_ = JointSpectrumMap(signal_nm=lam, idler_nm=lam,
+                                intensity=np.ones((64, 64)))
+        x, _, h = detuning_profile(map_)
+        nu = C_NM_PER_PS / lam
+        assert x[-1] - (nu[0] - nu[-1]) < 8.0 * h
+        _assert_matches_dense_oracle(map_)
+
+    def test_memory_is_set_by_the_map_not_the_kernel(self, spectrum_maps):
+        tracemalloc.start()
+        try:
+            detuning_profile(spectrum_maps[0.27])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_map_without_detuning_spread_is_rejected(self):
+        lam = np.array([800.0, 801.0])
+        map_ = JointSpectrumMap(signal_nm=lam, idler_nm=lam,
+                                intensity=np.eye(2))
+        with pytest.raises(ExtractionError, match="zero detuning"):
+            extract_bins_from_map(map_)
 
 
 class TestCoherenceTime:

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hombeat import hom
 from hombeat import (
     BiphotonSpectrumModel,
     bunching_probability,
@@ -25,6 +27,11 @@ def _trapezoid_oracle(model, weight):
     half = 7.5 * model.sigma_detuning_thz
     d = np.linspace(-half, half, 12001)
     return np.trapezoid(detuning_density(model, d) * weight(d), d, axis=-1)
+
+
+def _math_erf_everywhere(x):
+    """math.erf on every element: the map's erf before it was restricted."""
+    return np.frompyfunc(math.erf, 1, 1)(x).astype(float)
 
 
 def _cos(d, tau):
@@ -203,3 +210,25 @@ class TestClosedFormAgainstQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestErfReach:
+    """erf is called only where it is not +-1, and the maps do not notice."""
+
+    EDGES = (-1e3, -6.0, -5.9216, -5.92, -0.0, 0.0, 5.92, 5.9216, 6.0, 1e3,
+             np.nan)
+
+    def test_bitwise_equal_to_math_erf(self):
+        x = np.concatenate([np.linspace(-8.0, 8.0, 20001), self.EDGES])
+        got = hom._erf(x)
+        want = _math_erf_everywhere(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("pump_fwhm_thz", (1e-6, 0.001, 0.5, 5.0))
+    def test_maps_unchanged_to_the_bit(self, monkeypatch, pump_fwhm_thz):
+        model = BiphotonSpectrumModel(pump_fwhm_thz=pump_fwhm_thz)
+        got = (coincidence_spectrum(model, 0.27), hom.jsi_map(model))
+        monkeypatch.setattr(hom, "_erf", _math_erf_everywhere)
+        want = (coincidence_spectrum(model, 0.27), hom.jsi_map(model))
+        for g, w in zip(got, want):
+            assert np.array_equal(g.intensity, w.intensity)
