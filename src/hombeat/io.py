@@ -4,6 +4,10 @@ Every file carries a schema version. Numeric text uses repr (shortest
 round-trip) so identical inputs produce byte-identical files; nothing here
 writes timestamps except the run bundle, which is explicitly excluded from
 the byte-determinism contract.
+
+The map writers format each distinct value once and skip json.dumps, whose
+indented form runs the slow pure-Python encoder; TestMapWriterOracles in
+tests/test_io.py holds them byte-equal to json.dumps and a per-cell CSV loop.
 """
 
 from __future__ import annotations
@@ -44,8 +48,19 @@ class IOFormatError(RuntimeError):
     """An input file does not match the expected format."""
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _reprs(values) -> list:
+    flat = np.asarray(values, dtype=float).ravel()
+    live = (flat != 0.0) | np.signbit(flat)  # +0.0 shares texts[0]; -0.0 is live
+    distinct, inverse = np.unique(flat[live], return_inverse=True)
+    texts = np.array(["0.0", *map(repr, distinct.tolist())], dtype=object)
+    index = np.zeros(flat.size, dtype=np.intp)
+    index[live] = inverse + 1
+    return texts[index].reshape(np.shape(values)).tolist()
+
+
+def _json_array(items: list[str], depth: int = 1) -> str:
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -61,43 +76,41 @@ def write_json(path: str, payload: dict) -> None:
 
 def write_map_csv(map_: JointSpectrumMap, path: str) -> None:
     """Row-major 2D map: one line per (signal, idler) sample."""
-    lines = [f"# schema_version={SCHEMA_VERSION}", "signal_nm,idler_nm,intensity"]
-    intensity = map_.intensity
-    for i, s in enumerate(map_.signal_nm):
-        srep = _fmt(s)
-        row = intensity[i]
-        for j, val in enumerate(map_.idler_nm):
-            lines.append(f"{srep},{_fmt(val)},{_fmt(row[j])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    idler = [f"{v}," for v in _reprs(map_.idler_nm)]
+    parts = [f"# schema_version={SCHEMA_VERSION}\nsignal_nm,idler_nm,intensity"]
+    for s, row in zip(_reprs(map_.signal_nm), _reprs(map_.intensity)):
+        line = [f"\n{s},"] * (3 * len(idler))
+        line[1::3], line[2::3] = idler, row
+        parts += line
+    _write_text(path, "".join(parts) + "\n")
 
 
 def write_map_json(map_: JointSpectrumMap, path: str) -> None:
-    write_json(path, {
-        "schema_version": SCHEMA_VERSION,
-        "signal_nm": [float(v) for v in map_.signal_nm],
-        "idler_nm": [float(v) for v in map_.idler_nm],
-        "intensity": [[float(v) for v in row] for row in map_.intensity],
-    })
+    arrays = (map_.idler_nm, map_.intensity, map_.signal_nm)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("Out of range float values are not JSON compliant")
+    idler, rows, signal = map(_reprs, arrays)
+    intensity = _json_array([_json_array(r, 2) for r in rows])
+    fields = {"idler_nm": _json_array(idler), "intensity": intensity,
+              "signal_nm": _json_array(signal), "schema_version": str(SCHEMA_VERSION)}
+    body = ",\n".join(f'  "{k}": {v}' for k, v in sorted(fields.items()))
+    _write_text(path, "{\n" + body + "\n}\n")
 
 
 def write_scan_csv(scan: FringeScan, model_probs: np.ndarray, path: str,
                    seed: int | None = None) -> None:
     """Scan samples; count columns appear only for counting data."""
     lines = [f"# schema_version={SCHEMA_VERSION}"]
+    columns = [scan.tau2_ps, model_probs]
     if scan.counts_mode:
         lines.append(f"# counts_per_point={scan.counts_per_point}")
         if seed is not None:
             lines.append(f"# seed={seed}")
         lines.append("tau2_ps,probability_model,counts,sigma")
-        for k in range(scan.n_points):
-            lines.append(",".join([
-                _fmt(scan.tau2_ps[k]), _fmt(model_probs[k]),
-                _fmt(scan.values[k]), _fmt(scan.uncertainties[k])]))
+        columns += [scan.values, scan.uncertainties]
     else:
-        lines.append("# counts_per_point=0")
-        lines.append("tau2_ps,probability_model")
-        for k in range(scan.n_points):
-            lines.append(f"{_fmt(scan.tau2_ps[k])},{_fmt(model_probs[k])}")
+        lines += ["# counts_per_point=0", "tau2_ps,probability_model"]
+    lines += map(",".join, zip(*map(_reprs, columns)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -118,6 +131,9 @@ def write_scan_json(scan: FringeScan, model_probs: np.ndarray, path: str,
 
 
 def _scan_from_columns(tau2, model_probs, counts, sigma, counts_per_point):
+    kind, floor = ("noiseless", 0) if counts is None else ("counting", 1)
+    if counts_per_point < floor:
+        raise IOFormatError(f"{kind} scan has counts_per_point < {floor}")
     tau2 = np.asarray(tau2, dtype=float)
     model_probs = np.asarray(model_probs, dtype=float)
     if counts is None:
@@ -128,6 +144,8 @@ def _scan_from_columns(tau2, model_probs, counts, sigma, counts_per_point):
         scan = FringeScan(tau2_ps=tau2, values=np.asarray(counts, dtype=float),
                           uncertainties=np.asarray(sigma, dtype=float),
                           counts_mode=True, counts_per_point=counts_per_point)
+    if scan.n_points < 3:
+        raise IOFormatError(f"scan has {scan.n_points} points, need at least 3")
     return scan, model_probs
 
 
@@ -156,8 +174,7 @@ def _read_scan_json(path: str):
         raise IOFormatError("counting scan lacks counts/sigma arrays")
     try:
         return _scan_from_columns(tau2, model_probs,
-                                  counts if cpp > 0 else None,
-                                  sigma, cpp if cpp > 0 else None)
+                                  counts if cpp > 0 else None, sigma, cpp)
     except ValueError as exc:
         raise IOFormatError(f"inconsistent scan data: {exc}") from exc
 
@@ -195,14 +212,11 @@ def _read_scan_csv(path: str):
         cpp = int(meta.get("counts_per_point", "0"))
     except ValueError as exc:
         raise IOFormatError("counts_per_point comment is not an integer") from exc
-    if counting and cpp < 1:
-        raise IOFormatError("counting columns present but counts_per_point < 1")
     try:
         return _scan_from_columns(
             cols[0], cols[1],
             cols[2] if counting else None,
-            cols[3] if counting else None,
-            cpp if counting else None)
+            cols[3] if counting else None, cpp)
     except ValueError as exc:
         raise IOFormatError(f"inconsistent scan data: {exc}") from exc
 

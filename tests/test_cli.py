@@ -110,6 +110,43 @@ class TestFitCommand:
         rc = main(["--out", str(tmp_path), "fit", str(bad)])
         assert rc == 4
 
+    @pytest.mark.parametrize("name, text", [
+        ("scan.json", json.dumps({"schema_version": 1, "counts_per_point": 0,
+                                  "tau2_ps": [], "probability_model": []})),
+        ("scan.csv", "# counts_per_point=0\ntau2_ps,probability_model\n0.0,0.5\n"),
+    ])
+    def test_scan_with_fewer_than_three_points(self, tmp_path, capsys, name, text):
+        scenario = write_scenario(tmp_path, fit={"m": None})
+        scan = tmp_path / name
+        scan.write_text(text)
+        rc = main(["--scenario", scenario, "--out", str(tmp_path / "run"),
+                   "fit", str(scan)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "at least 3" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_counts_per_point(self, tmp_path, capsys, fmt):
+        scenario = write_scenario(tmp_path, scan={"counts_per_point": 0})
+        out = tmp_path / "run"
+        assert main(["--scenario", scenario, "--out", str(out), "--format", fmt,
+                     "scan"]) == 0
+        scan = out / f"scan.{fmt}"
+        if fmt == "json":
+            doc = json.loads(scan.read_text())
+            doc["counts_per_point"] = -3
+            scan.write_text(json.dumps(doc))
+        else:
+            text = scan.read_text().replace("# counts_per_point=0",
+                                            "# counts_per_point=-3")
+            scan.write_text(text)
+        rc = main(["--scenario", scenario, "--out", str(out), "--format", fmt, "fit"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "counts_per_point < 0" in err
+        assert "Traceback" not in err
+
     def test_non_converged_fit_returns_numeric_failure(self, tmp_path):
         scenario = write_scenario(tmp_path, fit={"m": 4, "max_iterations": 1})
         out = tmp_path / "run"

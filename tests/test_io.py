@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import BENCH_DELAYS_PS
 
 from hombeat.density import build_restricted_dm, eof_lower_bound, eof_reference_comparison
 from hombeat.fringes import FringeScan, fit_fringe_scan, fringe_model_eval, synth_scan
@@ -25,7 +28,12 @@ from hombeat.io import (
 )
 from hombeat.hom import jsi_map
 from hombeat.reference import fringe_params_from_reference
-from hombeat.spectral import BiphotonSpectrumModel, FrequencyGrid, default_grid
+from hombeat.spectral import (
+    BiphotonSpectrumModel,
+    FrequencyGrid,
+    JointSpectrumMap,
+    default_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +314,106 @@ class TestMapFiles:
         data = json.loads(open(path).read())
         assert np.array_equal(np.array(data["intensity"]), small_map.intensity)
         assert np.array_equal(np.array(data["signal_nm"]), small_map.signal_nm)
+
+
+def _reference_map_csv(map_) -> str:
+    """The per-cell loop the CSV map writer replaced, kept as its oracle."""
+    lines = ["# schema_version=1", "signal_nm,idler_nm,intensity"]
+    for i, s in enumerate(map_.signal_nm):
+        srep = repr(float(s))
+        row = map_.intensity[i]
+        for j, val in enumerate(map_.idler_nm):
+            lines.append(f"{srep},{repr(float(val))},{repr(float(row[j]))}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_map_json(map_) -> str:
+    """The json.dumps text the JSON map writer must reproduce."""
+    return json.dumps({
+        "schema_version": 1,
+        "signal_nm": [float(v) for v in map_.signal_nm],
+        "idler_nm": [float(v) for v in map_.idler_nm],
+        "intensity": [[float(v) for v in row] for row in map_.intensity],
+    }, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _written(writer, map_, path) -> str:
+    writer(map_, str(path))
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+# Every repr form: -0.0, a subnormal, exponent below 1e-4 and from 1e16 up,
+# fixed notation in between, and a +0.0 that must not swallow -0.0.
+_HAND_VALUES = [[-0.0, 5e-324, 1e-05], [1e16, 1.0, 0.0]]
+
+
+class TestMapWriterOracles:
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_csv_equals_per_cell_loop(self, spectrum_maps, tau1, tmp_path):
+        map_ = spectrum_maps[tau1]
+        assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
+            _reference_map_csv(map_))
+
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_json_equals_json_dumps(self, spectrum_maps, tau1, tmp_path):
+        map_ = spectrum_maps[tau1]
+        assert _written(write_map_json, map_, tmp_path / "map.json") == (
+            _reference_map_json(map_))
+
+    def test_hand_built_map_keeps_every_repr(self, tmp_path):
+        map_ = JointSpectrumMap(signal_nm=np.array([5e-324, 1e16]),
+                                idler_nm=np.array([-0.0, 1e-05, 1.0]),
+                                intensity=np.array(_HAND_VALUES))
+        csv_text = _written(write_map_csv, map_, tmp_path / "map.csv")
+        assert csv_text == _reference_map_csv(map_)
+        assert "5e-324,-0.0,-0.0\n" in csv_text
+        assert "1e+16,1.0,0.0\n" in csv_text
+        assert _written(write_map_json, map_, tmp_path / "map.json") == (
+            _reference_map_json(map_))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell(self, bad, tmp_path):
+        intensity = np.array(_HAND_VALUES)
+        intensity[1, 2] = bad
+        map_ = SimpleNamespace(signal_nm=np.array([800.0, 801.0]),
+                               idler_nm=np.array([810.0, 811.0, 812.0]),
+                               intensity=intensity)
+        assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
+            _reference_map_csv(map_))
+        with pytest.raises(ValueError):
+            _reference_map_json(map_)
+        with pytest.raises(ValueError):
+            write_map_json(map_, str(tmp_path / "map.json"))
+
+    def test_non_finite_axis_rejected_in_json(self, tmp_path):
+        map_ = SimpleNamespace(signal_nm=np.array([800.0, np.inf]),
+                               idler_nm=np.array([810.0]),
+                               intensity=np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            write_map_json(map_, str(tmp_path / "map.json"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 3), cols=st.integers(0, 3),
+           data=st.data())
+    def test_any_small_map_matches_both_oracles(self, rows, cols, data,
+                                                tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("map")
+
+        def floats(n):
+            return np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)),
+                            dtype=float)
+        map_ = SimpleNamespace(signal_nm=floats(rows), idler_nm=floats(cols),
+                               intensity=floats(rows * cols).reshape(rows, cols))
+        assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
+            _reference_map_csv(map_))
+        try:
+            want = _reference_map_json(map_)
+        except ValueError:
+            with pytest.raises(ValueError):
+                write_map_json(map_, str(tmp_path / "map.json"))
+        else:
+            assert _written(write_map_json, map_, tmp_path / "map.json") == want
 
 
 class TestWriteJson:
