@@ -30,7 +30,8 @@ __all__ = [
 
 
 class SeedingError(ValueError):
-    """A scan shows too little spectral structure to seed a fit."""
+    """A scan shows too little spectral structure, or lies on too irregular
+    a grid, to seed a fit."""
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def _significant_dft_peaks(scan: FringeScan) -> tuple[np.ndarray, np.ndarray]:
     dt = scan.tau2_ps[1] - scan.tau2_ps[0]
     steps = np.diff(scan.tau2_ps)
     if np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):
-        raise ValueError("spectral seeding needs a uniform tau2 grid")
+        raise SeedingError("spectral seeding needs a uniform tau2 grid")
     mag = np.abs(np.fft.rfft(y))
     freqs = np.fft.rfftfreq(n, dt)
     # Two floors: the median term rejects the shot-noise background of a
@@ -325,6 +326,29 @@ def _theta_model(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _theta_jacobian(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Closed-form derivatives of ``_theta_model``, one column per theta entry.
+
+    At the triangle's edge |2 tau2| = tau_c the envelope has a kink; there
+    the outside (zero) derivative is taken, as the model's envelope is zero.
+    """
+    tau_c = np.exp(theta[0])
+    mu, z, phi = theta[1:].reshape(-1, 3).T
+    c = _sigmoid(z)
+    x = np.abs(2.0 * tau2_ps / tau_c)
+    inside = x < 1.0
+    env = np.where(inside, 1.0 - x, 0.0)[:, None]
+    arg = 2.0 * np.pi * tau2_ps[:, None] * mu + phi
+    half_c_cos = 0.5 * c * np.cos(arg)
+    half_c_sin_env = 0.5 * c * np.sin(arg) * env
+    jac = np.empty((tau2_ps.size, theta.size))
+    jac[:, 0] = -np.where(inside, x, 0.0) * half_c_cos.sum(axis=1)
+    jac[:, 1::3] = 2.0 * np.pi * tau2_ps[:, None] * half_c_sin_env
+    jac[:, 2::3] = -(1.0 - c) * half_c_cos * env
+    jac[:, 3::3] = half_c_sin_env
+    return jac
+
+
 def fit_fringe_scan(scan: FringeScan, m: int | None = None,
                     known_weights=None, initial: FringeModelParams | None = None,
                     options: LMOptions | None = None) -> FitResult:
@@ -374,7 +398,10 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
     def residual(theta):
         return (_theta_model(t, theta) - y) / sig
 
-    lm_res: LMResult = levenberg_marquardt(residual, theta0, options)
+    def jacobian(theta):
+        return _theta_jacobian(t, theta) / sig[:, None]
+
+    lm_res: LMResult = levenberg_marquardt(residual, theta0, options, jacobian)
 
     tau_c, comps = _unpack(lm_res.params, n_pairs)
     order = np.argsort([c[0] for c in comps])

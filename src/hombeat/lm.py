@@ -1,7 +1,8 @@
 """Self-contained damped least-squares solver.
 
 A compact Levenberg-Marquardt implementation over a user-supplied residual
-function. The Jacobian is built by central finite differences, damping
+function. The Jacobian comes from a caller-supplied closed form when one is
+given, and from central finite differences of the residual otherwise; damping
 follows the gain-ratio update of Nielsen, and the initial damping is zero so
 that linear problems are solved exactly in the first Gauss-Newton step.
 """
@@ -71,7 +72,8 @@ def _clipped_pinv(h: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None) -> LMResult:
+def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
+                        jacobian=None) -> LMResult:
     """Minimize 0.5 * sum(residual_fn(x)^2) from the starting point x0.
 
     Parameters
@@ -85,6 +87,11 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None) -> LM
     options:
         Termination and damping controls; defaults are fine for the fits in
         this package.
+    jacobian:
+        Optional callable mapping a parameter vector to the
+        (n_residuals, n_params) matrix of residual derivatives. Without it
+        the Jacobian is taken by central finite differences, at
+        2 * n_params residual evaluations each.
 
     Returns
     -------
@@ -92,6 +99,8 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None) -> LM
         Never raises for numerical trouble after a valid start: singular
         normal equations increase the damping, and a runaway damping factor
         returns ``converged=False`` with a diagnostic message.
+        ``n_residual_evals`` counts calls of ``residual_fn`` only, and
+        ``covariance`` is (J^T J)^+ at the returned parameters.
     """
     opt = options or LMOptions()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -99,8 +108,14 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None) -> LM
         raise ValueError("need at least one free parameter")
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess must be finite")
-    r = np.asarray(residual_fn(x), dtype=float)
-    n_evals = 1
+    n_evals = 0
+
+    def residual(xk):
+        nonlocal n_evals
+        n_evals += 1
+        return np.asarray(residual_fn(xk), dtype=float)
+
+    r = residual(x)
     if r.ndim != 1 or not np.all(np.isfinite(r)):
         raise ValueError("residual at the initial guess must be a finite 1D array")
     cost = 0.5 * float(r @ r)
@@ -110,11 +125,15 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None) -> LM
     grad_norm = np.inf
     message = "iteration limit reached"
     converged = False
-    jac = None
+    if jacobian is None:
+        n_res = r.size
+
+        def jacobian(xk):
+            return _fd_jacobian(residual, xk, n_res, opt.fd_step)
+    jac_x = None
 
     for _ in range(opt.max_iterations):
-        jac = _fd_jacobian(residual_fn, x, r.size, opt.fd_step)
-        n_evals += 2 * x.size
+        jac, jac_x = np.asarray(jacobian(x), dtype=float), x
         grad = jac.T @ r
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < opt.gradient_tol:
@@ -136,8 +155,7 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None) -> LM
                     message = "damping overflow on singular normal equations"
                     break
                 continue
-            r_try = np.asarray(residual_fn(x + step), dtype=float)
-            n_evals += 1
+            r_try = residual(x + step)
             cost_try = 0.5 * float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
             predicted = -(grad @ step + 0.5 * step @ hess @ step)
             if cost_try < cost:
@@ -170,9 +188,9 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None) -> LM
         if not accepted or converged:
             break
 
-    if jac is None:
-        jac = _fd_jacobian(residual_fn, x, r.size, opt.fd_step)
-        n_evals += 2 * x.size
+    if jac_x is not x:
+        # An accepted step moved x after the last Jacobian was taken.
+        jac = np.asarray(jacobian(x), dtype=float)
     covariance = _clipped_pinv(jac.T @ jac)
     return LMResult(
         params=x,

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hombeat.cli import main
@@ -145,6 +146,25 @@ class TestFitCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert "counts_per_point < 0" in err
+        assert "Traceback" not in err
+
+    def test_non_uniform_scan_is_a_numeric_failure(self, tmp_path, capsys):
+        # Spectral seeding (fit.m null) needs a uniform grid; a scan file on
+        # any other grid is a seeding failure, not a configuration error.
+        scenario = write_scenario(tmp_path, fit={"m": None})
+        tau2 = np.concatenate([np.linspace(-0.75, 0.0, 200),
+                               np.linspace(0.01, 0.75, 50)])
+        probs = 0.5 - 0.4 * np.cos(2.0 * np.pi * 4.0 * tau2) * np.clip(
+            1.0 - np.abs(2.0 * tau2 / 0.47), 0.0, None)
+        scan = tmp_path / "scan.csv"
+        rows = [f"{t!r},{p!r}" for t, p in zip(tau2.tolist(), probs.tolist())]
+        scan.write_text("\n".join(["# counts_per_point=0",
+                                   "tau2_ps,probability_model"] + rows) + "\n")
+        rc = main(["--scenario", scenario, "--out", str(tmp_path / "run"),
+                   "fit", str(scan)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "uniform" in err
         assert "Traceback" not in err
 
     def test_non_converged_fit_returns_numeric_failure(self, tmp_path):

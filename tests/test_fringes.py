@@ -2,19 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hombeat.fringes as fringes
 from hombeat.fringes import (
     FringeModelParams,
     FringePairParams,
     FringeScan,
+    _pack,
+    _theta_jacobian,
+    _theta_model,
     fit_fringe_scan,
     fringe_model_eval,
+    sample_scan,
     seed_guess,
     synth_scan,
 )
-from hombeat.lm import LMOptions
+from hombeat.hom import fringe_probability, fringe_scan
+from hombeat.lm import LMOptions, _fd_jacobian, levenberg_marquardt
 from hombeat.reference import fringe_params_from_reference
 
-from conftest import SCAN_DELAYS_PS
+from conftest import BENCH_DELAYS_PS, SCAN_DELAYS_PS
 
 
 def single_pair(tau_c=0.47, mu=4.01, vis=0.81, phase=179.83):
@@ -414,3 +420,80 @@ class TestFitUnderNoise:
             predicted = [p.detuning_thz for p in predicted_states[tau1].pairs]
             for f, p in zip(fitted, predicted):
                 assert abs(f - p) / p < 0.02
+
+
+def poisson_scan(model, tau1, counts_per_point, seed):
+    scan, _ = sample_scan(lambda t: fringe_probability(model, tau1, t),
+                          -0.75, 0.75, 601, counts_per_point, seed)
+    return scan
+
+
+def finite_difference_fit(monkeypatch, scan, m):
+    """The same fit with the solver's central-difference Jacobian."""
+    def residual_only(residual, x0, options=None, jacobian=None):
+        return levenberg_marquardt(residual, x0, options)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fringes, "levenberg_marquardt", residual_only)
+        return fit_fringe_scan(scan, m)
+
+
+def external_values(fit):
+    """Fitted values in the order of ``fit.param_names``."""
+    values = [fit.params.coherence_time_ps]
+    for p in fit.params.pairs:
+        values += [p.detuning_thz, p.amplitude, p.phase_deg]
+    return np.array(values)
+
+
+class TestAnalyticJacobian:
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_matches_finite_differences(self, model, predicted_states, tau1):
+        scan = fringe_scan(model, tau1)
+        t = scan.tau2_ps
+        m = predicted_states[tau1].dimension_m
+        fit = fit_fringe_scan(scan, m)
+        fd_step = LMOptions().fd_step
+        for params in (seed_guess(scan, m), fit.params):
+            theta = _pack(params)
+            analytic = _theta_jacobian(t, theta)
+            oracle = _fd_jacobian(lambda x: _theta_model(t, x), theta,
+                                  t.size, fd_step)
+            # The central difference in log tau_c straddles the envelope's
+            # kink at |2 tau2| = tau_c for samples within its step of it.
+            h = fd_step * max(1.0, abs(theta[0]))
+            far = np.abs(np.abs(2.0 * t / np.exp(theta[0])) - 1.0) > 2.0 * h
+            assert np.count_nonzero(~far) <= 2
+            gap = np.max(np.abs(analytic - oracle)[far], axis=0)
+            assert np.all(gap <= 1e-8 * np.max(np.abs(oracle), axis=0))
+
+    def test_same_fit_as_finite_differences_on_benchmark_panel(
+            self, model, predicted_states, monkeypatch):
+        # The fit workload's panel: per delay one noiseless scan and draws
+        # 20 j .. 20 j + 19 at 10^3 and 10^4 counts per point.
+        for j, tau1 in enumerate(BENCH_DELAYS_PS):
+            m = predicted_states[tau1].dimension_m
+            draws = [(0, 0)] + [(cpp, 20 * j + k) for cpp in (1_000, 10_000)
+                                for k in range(20)]
+            for cpp, seed in draws:
+                scan = poisson_scan(model, tau1, cpp, seed)
+                fit = fit_fringe_scan(scan, m)
+                ref = finite_difference_fit(monkeypatch, scan, m)
+                assert fit.converged and ref.converged
+                gap = external_values(fit) - external_values(ref)
+                gap[3::3] = (gap[3::3] + 180.0) % 360.0 - 180.0
+                se = np.sqrt(np.diag(ref.covariance))
+                assert np.all(np.abs(gap) <= 0.01 * se), (tau1, cpp, seed)
+                assert fit.residual_norm ** 2 == pytest.approx(
+                    ref.residual_norm ** 2, rel=1e-6)
+
+    @pytest.mark.parametrize("tau1, seed", [
+        (0.20, 154), (0.27, 1298), (0.37, 402), (0.37, 755), (0.37, 1192)])
+    def test_draws_that_stalled_finite_differences_converge(
+            self, model, predicted_states, tau1, seed):
+        # With the central-difference Jacobian these 10^3-count draws ran
+        # into the 500-iteration limit.
+        scan = poisson_scan(model, tau1, 1_000, seed)
+        fit = fit_fringe_scan(scan, predicted_states[tau1].dimension_m)
+        assert fit.converged
+        assert fit.n_iterations < 100

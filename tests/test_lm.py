@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hombeat import LMOptions, LMResult, levenberg_marquardt
+from hombeat.lm import _clipped_pinv
 
 
 def quadratic_residual(design, target):
@@ -131,3 +132,67 @@ class TestDiagnostics:
             j2 = _fd_jacobian(residual, x, r0.size, 5e-7)
             scale = np.max(np.abs(j1))
             assert np.max(np.abs(j1 - j2)) < 1e-4 * scale
+
+
+DECAY_T = np.linspace(0.0, 5.0, 40)
+
+
+def decay_residual(data):
+    return lambda x: x[0] * np.exp(-x[1] * DECAY_T) - data
+
+
+def decay_jacobian(x):
+    e = np.exp(-x[1] * DECAY_T)
+    return np.column_stack([e, -x[0] * DECAY_T * e])
+
+
+class TestSuppliedJacobian:
+    def test_linear_problem_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        design = rng.normal(size=(30, 4))
+        target = rng.normal(size=30)
+        residual = quadratic_residual(design, target)
+        fd = levenberg_marquardt(residual, np.zeros(4))
+        exact = levenberg_marquardt(residual, np.zeros(4),
+                                    jacobian=lambda x: design)
+        assert exact.converged and exact.n_iterations <= 2
+        assert np.max(np.abs(exact.params - fd.params)) < 1e-9
+
+    def test_counts_only_residual_calls(self):
+        residual = decay_residual(2.0 * np.exp(-0.7 * DECAY_T))
+        calls = {"fd": 0, "analytic": 0}
+
+        def counted(key):
+            def count(x):
+                calls[key] += 1
+                return residual(x)
+            return count
+
+        fd = levenberg_marquardt(counted("fd"), [1.0, 0.3])
+        exact = levenberg_marquardt(counted("analytic"), [1.0, 0.3],
+                                    jacobian=decay_jacobian)
+        assert fd.converged and exact.converged
+        assert fd.n_residual_evals == calls["fd"]
+        assert exact.n_residual_evals == calls["analytic"]
+        # each finite-difference Jacobian costs 2 * n_params evaluations
+        assert fd.n_residual_evals >= 1 + 4 * fd.n_iterations
+        assert exact.n_residual_evals < fd.n_residual_evals - 4 * exact.n_iterations
+
+
+class TestCovarianceAtReturnedParameters:
+    @pytest.mark.parametrize("max_iterations", [2, 500])
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_covariance_from_final_jacobian(self, max_iterations, analytic):
+        # Whether the loop ends on the iteration limit or on a small cost
+        # change, it ends right after an accepted step: the covariance must
+        # come from the Jacobian at the returned parameters, not the one
+        # taken before that step.
+        noise = 0.05 * np.random.default_rng(3).normal(size=DECAY_T.size)
+        residual = decay_residual(2.0 * np.exp(-0.7 * DECAY_T) + noise)
+        res = levenberg_marquardt(residual, [1.0, 0.3],
+                                  LMOptions(max_iterations=max_iterations),
+                                  jacobian=decay_jacobian if analytic else None)
+        assert res.n_iterations >= 1
+        jac = decay_jacobian(res.params)
+        want = _clipped_pinv(jac.T @ jac)
+        assert np.allclose(res.covariance, want, rtol=1e-6, atol=0.0)
