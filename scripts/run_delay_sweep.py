@@ -67,7 +67,7 @@ def main() -> None:
     parser.add_argument("--threshold", type=float, default=0.6,
                         help="relative lobe-volume threshold (default 0.6)")
     parser.add_argument("--no-maps", action="store_true",
-                        help="skip the 2D-map extraction (much faster)")
+                        help="skip the 2D-map extraction; print predictions only")
     args = parser.parse_args()
 
     model = BiphotonSpectrumModel()

@@ -36,6 +36,11 @@ __all__ = [
 # erf is evaluated only inside this reach.
 _ERF_REACH = 6.0
 
+# exp(-z^2 / (2 sig_p^2)) is exactly 0.0 in double precision for
+# |z| > 38.61 sig_p, and erf(z / (sig_p sqrt 2)) is +-1 there too, so the
+# pump antiderivative T needs its full formula only inside this many sig_p.
+_PUMP_REACH = 40.0
+
 
 def _erf(x: np.ndarray) -> np.ndarray:
     """Elementwise math.erf, called only where the result is not +-1."""
@@ -72,6 +77,30 @@ def bunching_probability(model: BiphotonSpectrumModel,
     return 0.5 * (1.0 + model.detuning_coherence(_fold_delay(tau1_ps)))
 
 
+def _pump_cell_mass(nu_edges: np.ndarray, zp: float,
+                    sig_p: float) -> np.ndarray:
+    """Integral of exp(-(nu1 + nu2 - zp)^2 / (2 sig_p^2)) over each cell.
+
+    Cell (i, j) spans [nu_edges[i + 1], nu_edges[i]] x [nu_edges[j + 1],
+    nu_edges[j]], and its integral is the signed sum of the double
+    antiderivative T (T'' = exp(-z^2 / (2 sig_p^2))) at its four corners.
+    """
+    def T(z):
+        gz = np.exp(-z * z / (2.0 * sig_p**2))
+        phi = sig_p * np.sqrt(np.pi / 2.0) * (
+            1.0 + _erf(z / (sig_p * np.sqrt(2.0))))
+        return z * phi + sig_p**2 * gz
+
+    z = nu_edges[:, None] + nu_edges[None, :] - zp
+    # Beyond the reach T is exactly 0.0 below the pump line and z * 2K
+    # above it, K = sig_p sqrt(pi/2): the floats the full formula gives.
+    two_k = sig_p * np.sqrt(np.pi / 2.0) * 2.0
+    t = np.where(z > 0, z * two_k, 0.0)
+    near = np.abs(z) < _PUMP_REACH * sig_p
+    t[near] = T(z[near])
+    return t[:-1, :-1] - t[1:, :-1] - t[:-1, 1:] + t[1:, 1:]
+
+
 def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
                          detuning_factor) -> JointSpectrumMap:
     """Wavelength-domain map of pump x envelope x detuning_factor(d).
@@ -80,6 +109,16 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
     map would otherwise alias badly for a near-CW pump), while the slowly
     varying envelope and the caller-supplied detuning factor are evaluated
     at cell centers.
+
+    Neighbouring cells share corners, so the pump antiderivative T is
+    taken once per corner (``_pump_cell_mass``). Beyond _PUMP_REACH pump
+    widths from the pump line the Gaussian in T underflows to 0.0 and erf
+    is exactly +-1, so T there is exactly 0.0 below the line and z * 2K
+    above it (K = sig_p sqrt(pi/2)): the very floats the full formula
+    returns, which is why these corners skip exp and erf without changing
+    a bit. The envelope and detuning factor run only on cells with
+    positive pump mass; every other cell is 0.0, as clipping the product
+    at zero gives.
     """
     sig1 = model.sigma_single_thz
     nu0 = model.center_frequency_thz
@@ -87,6 +126,8 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
     if span < 4.0 * sig1:
         raise ValueError("grid must span at least 4 envelope standard "
                          "deviations around the degenerate frequency")
+    if grid.min_thz <= 0:
+        raise ValueError("grid frequencies must be positive")
     sig_p = model.pump_sigma_thz
     if sig_p <= 0:
         raise ValueError("2D maps need pump_fwhm_thz > 0")
@@ -97,36 +138,21 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
     edges = np.concatenate([[lam[0] - 0.5 * step],
                             0.5 * (lam[:-1] + lam[1:]),
                             [lam[-1] + 0.5 * step]])
+    # Decreasing, so cell k spans [nu_edges[k + 1], nu_edges[k]].
     nu_edges = C_NM_PER_PS / edges
-    lo = np.minimum(nu_edges[1:], nu_edges[:-1])
-    hi = np.maximum(nu_edges[1:], nu_edges[:-1])
 
-    # Cell-integrated pump factor via the double antiderivative T with
-    # T'' = exp(-z^2 / (2 sig_p^2)). math.erf runs only on the few cells
-    # within about 8.5 sig_p of the pump line; everywhere else erf is +-1.
-    def T(z):
-        gz = np.exp(-z * z / (2.0 * sig_p**2))
-        phi = sig_p * np.sqrt(np.pi / 2.0) * (
-            1.0 + _erf(z / (sig_p * np.sqrt(2.0))))
-        return z * phi + sig_p**2 * gz
+    pump_mass = _pump_cell_mass(nu_edges, model.sum_frequency_thz, sig_p)
 
-    zp = model.sum_frequency_thz
-    pump_mass = (T(hi[:, None] + hi[None, :] - zp)
-                 - T(lo[:, None] + hi[None, :] - zp)
-                 - T(hi[:, None] + lo[None, :] - zp)
-                 + T(lo[:, None] + lo[None, :] - zp))
-
+    live = np.nonzero(pump_mass > 0)
     # Midpoints in frequency, not c/lambda_center: midpoint evaluation makes
     # the per-cell quadrature error telescope away in the total mass.
-    nu_c = 0.5 * (lo + hi)
-    d = nu_c[:, None] - nu_c[None, :]
+    nu_c = 0.5 * (nu_edges[1:] + nu_edges[:-1])
+    d = nu_c[live[0]] - nu_c[live[1]]
     norm = 1.0 / (2.0 * np.pi * sig_p * sig1)
     slow = norm * np.exp(-d * d / (8.0 * sig1**2))
-    mass = pump_mass * slow * detuning_factor(d)
-
-    widths = np.empty(lam.size)
-    widths[:] = step
-    intensity = np.maximum(mass, 0.0) / (widths[:, None] * widths[None, :])
+    intensity = np.zeros_like(pump_mass)
+    intensity[live] = (pump_mass[live] * slow * detuning_factor(d)
+                       / (step * step))
     return JointSpectrumMap(signal_nm=lam, idler_nm=lam.copy(),
                             intensity=intensity)
 

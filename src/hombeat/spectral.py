@@ -20,7 +20,6 @@ __all__ = [
     "FrequencyGrid",
     "JointSpectrumMap",
     "default_grid",
-    "jsi_eval",
     "detuning_density",
     "marginal_bandwidth",
 ]
@@ -188,35 +187,6 @@ def _axis_widths(axis: np.ndarray) -> np.ndarray:
     edges[0] = axis[0] - 0.5 * (axis[1] - axis[0])
     edges[-1] = axis[-1] + 0.5 * (axis[-1] - axis[-2])
     return np.diff(edges)
-
-
-def jsi_eval(model: BiphotonSpectrumModel, nu1_thz, nu2_thz):
-    """Normalized joint spectral intensity f(nu1, nu2) in 1/THz^2.
-
-    Symmetric under exchange of its two frequency arguments. The pump
-    factor approaches a delta function as pump_fwhm_thz goes to zero, so
-    evaluation requires a strictly positive pump width; detuning-level
-    quantities that are exact in the CW limit use ``detuning_density``
-    instead.
-    """
-    nu1 = np.asarray(nu1_thz, dtype=float)
-    nu2 = np.asarray(nu2_thz, dtype=float)
-    if not (np.all(np.isfinite(nu1)) and np.all(np.isfinite(nu2))):
-        raise ValueError("frequencies must be finite")
-    if np.any(nu1 <= 0) or np.any(nu2 <= 0):
-        raise ValueError("frequencies must be positive")
-    sig_p = model.pump_sigma_thz
-    if sig_p <= 0:
-        raise ValueError("jsi_eval needs pump_fwhm_thz > 0; the CW limit is "
-                         "only defined under an integral")
-    sig1 = model.sigma_single_thz
-    s = nu1 + nu2 - model.sum_frequency_thz
-    d = nu1 - nu2
-    norm = 1.0 / (2.0 * np.pi * sig_p * sig1)
-    out = norm * np.exp(-s * s / (2.0 * sig_p**2)) * np.exp(-d * d / (8.0 * sig1**2))
-    if np.isscalar(nu1_thz) and np.isscalar(nu2_thz):
-        return float(out)
-    return out
 
 
 def detuning_density(model: BiphotonSpectrumModel, detuning_thz):

@@ -14,6 +14,7 @@ from hombeat import (
     fringe_probability,
     fringe_scan,
 )
+from hombeat.spectral import JointSpectrumMap, default_grid
 from hombeat.units import C_NM_PER_PS
 
 
@@ -32,6 +33,54 @@ def _trapezoid_oracle(model, weight):
 def _math_erf_everywhere(x):
     """math.erf on every element: the map's erf before it was restricted."""
     return np.frompyfunc(math.erf, 1, 1)(x).astype(float)
+
+
+def _dense_cell_map(model, grid, detuning_factor):
+    """Bit-level oracle for the map: the dense cell integral.
+
+    T's full formula (exp and erf) at all four corners of every cell, each
+    cell on its own, and every factor on the whole grid before clipping
+    the product at zero.
+    """
+    sig1 = model.sigma_single_thz
+    sig_p = model.pump_sigma_thz
+    lam = np.linspace(C_NM_PER_PS / grid.max_thz, C_NM_PER_PS / grid.min_thz,
+                      grid.n_points)
+    step = lam[1] - lam[0]
+    edges = np.concatenate([[lam[0] - 0.5 * step],
+                            0.5 * (lam[:-1] + lam[1:]),
+                            [lam[-1] + 0.5 * step]])
+    nu_edges = C_NM_PER_PS / edges
+    lo = np.minimum(nu_edges[1:], nu_edges[:-1])
+    hi = np.maximum(nu_edges[1:], nu_edges[:-1])
+
+    def T(z):
+        gz = np.exp(-z * z / (2.0 * sig_p**2))
+        phi = sig_p * np.sqrt(np.pi / 2.0) * (
+            1.0 + hom._erf(z / (sig_p * np.sqrt(2.0))))
+        return z * phi + sig_p**2 * gz
+
+    zp = model.sum_frequency_thz
+    pump_mass = (T(hi[:, None] + hi[None, :] - zp)
+                 - T(lo[:, None] + hi[None, :] - zp)
+                 - T(hi[:, None] + lo[None, :] - zp)
+                 + T(lo[:, None] + lo[None, :] - zp))
+    nu_c = 0.5 * (lo + hi)
+    d = nu_c[:, None] - nu_c[None, :]
+    norm = 1.0 / (2.0 * np.pi * sig_p * sig1)
+    slow = norm * np.exp(-d * d / (8.0 * sig1**2))
+    mass = pump_mass * slow * detuning_factor(d)
+    widths = np.empty(lam.size)
+    widths[:] = step
+    intensity = np.maximum(mass, 0.0) / (widths[:, None] * widths[None, :])
+    return JointSpectrumMap(signal_nm=lam, idler_nm=lam.copy(),
+                            intensity=intensity)
+
+
+def _same_bits(a, b):
+    return all(np.array_equal(getattr(a, k).view(np.int64),
+                              getattr(b, k).view(np.int64))
+               for k in ("signal_nm", "idler_nm", "intensity"))
 
 
 def _cos(d, tau):
@@ -231,4 +280,34 @@ class TestErfReach:
         monkeypatch.setattr(hom, "_erf", _math_erf_everywhere)
         want = (coincidence_spectrum(model, 0.27), hom.jsi_map(model))
         for g, w in zip(got, want):
-            assert np.array_equal(g.intensity, w.intensity)
+            assert _same_bits(g, w)
+
+
+class TestMapAgainstDenseOracle:
+    """Shared corners and the exact forms beyond the pump reach change no bit.
+
+    At 5 THz the reach covers the whole grid, at 1e-6 THz the band is far
+    narrower than a cell; tau1 = None is the bare ``jsi_map``.
+    """
+
+    @pytest.mark.parametrize("tau1", (None, 0.0, 0.12, 0.37, 3.0))
+    @pytest.mark.parametrize("n_points", (16, 512))
+    @pytest.mark.parametrize("pump_fwhm_thz", (1e-6, 0.001, 0.5, 5.0))
+    def test_same_bits_as_dense(self, pump_fwhm_thz, n_points, tau1):
+        model = BiphotonSpectrumModel(pump_fwhm_thz=pump_fwhm_thz)
+        grid = default_grid(model, n_points=n_points)
+        if tau1 is None:
+            got = hom.jsi_map(model, grid)
+            want = _dense_cell_map(model, grid, lambda d: np.ones_like(d))
+        else:
+            got = coincidence_spectrum(model, tau1, grid)
+            want = _dense_cell_map(
+                model, grid,
+                lambda d: 0.5 * (1.0 - np.cos(2.0 * np.pi * d * tau1)))
+        assert _same_bits(got, want)
+
+    def test_reach_is_past_exp_underflow(self):
+        # Beyond the reach the Gaussian in T is exactly zero and erf is +-1.
+        r = hom._PUMP_REACH
+        assert np.exp(-r * r / 2.0) == 0.0
+        assert math.erf(r / math.sqrt(2.0)) == 1.0

@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from hombeat import (
     BiphotonSpectrumModel,
+    coincidence_spectrum,
     default_grid,
     detuning_density,
     marginal_bandwidth,
 )
 from hombeat.hom import jsi_map
-from hombeat.spectral import FrequencyGrid, jsi_eval
+from hombeat.spectral import FrequencyGrid
+from hombeat.units import C_NM_PER_PS
 
 
 class TestModelValidation:
@@ -42,40 +44,50 @@ class TestModelValidation:
 
 
 class TestJsiEval:
-    def test_peak_at_degeneracy(self, model):
-        nu0 = model.center_frequency_thz
-        peak = jsi_eval(model, nu0, nu0)
-        for dnu in (0.5, -0.5, 2.0):
-            assert jsi_eval(model, nu0 + dnu, nu0 + dnu) < peak
-            assert jsi_eval(model, nu0 + dnu, nu0 - dnu) < peak
+    """Model checks on the evaluated joint spectral intensity, ``jsi_map``."""
 
-    @settings(deadline=None, max_examples=50)
-    @given(st.floats(min_value=330.0, max_value=410.0),
-           st.floats(min_value=330.0, max_value=410.0))
-    def test_exchange_symmetry(self, nu1, nu2):
-        model = BiphotonSpectrumModel()
-        a = jsi_eval(model, nu1, nu2)
-        b = jsi_eval(model, nu2, nu1)
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
+    def test_peak_at_degeneracy(self, model):
+        # The wavelength marginal peaks in the degenerate cell and decays
+        # on either side. (The brightest single cell need not be there: a
+        # near-CW pump line crosses each cell along a different length.)
+        map_ = jsi_map(model)
+        step = map_.signal_nm[1] - map_.signal_nm[0]
+        marginal = map_.cell_masses().sum(axis=1)
+        k = int(np.argmax(marginal))
+        assert abs(map_.signal_nm[k] - 810.0) <= step
+        assert np.all(np.diff(marginal[:k + 1]) >= 0)
+        assert np.all(np.diff(marginal[k:]) <= 0)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.floats(min_value=1e-6, max_value=5.0),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_exchange_symmetry(self, pump_fwhm_thz, tau1):
+        model = BiphotonSpectrumModel(pump_fwhm_thz=pump_fwhm_thz)
+        for map_ in (jsi_map(model, n_points=64),
+                     coincidence_spectrum(model, tau1, n_points=64)):
+            z = map_.intensity
+            assert np.array_equal(map_.signal_nm, map_.idler_nm)
+            assert np.max(np.abs(z - z.T)) <= 1e-12 * z.max()
 
     def test_pump_locus_negligible_off_ridge(self, model):
-        # CW-like pump: 6 pump widths off the energy-conservation ridge the
-        # intensity is below 1e-8 of the peak.
-        nu0 = model.center_frequency_thz
-        peak = jsi_eval(model, nu0, nu0)
-        off = 6.0 * model.pump_fwhm_thz
-        assert jsi_eval(model, nu0 + off, nu0) < 1e-8 * peak
+        # CW-like pump: cells whose centres lie 0.5 THz (about 6 cells) off
+        # the energy-conservation ridge hold below 1e-8 of the peak.
+        map_ = jsi_map(model)
+        nu = C_NM_PER_PS / map_.signal_nm
+        off = np.abs(nu[:, None] + nu[None, :] - model.sum_frequency_thz)
+        z = map_.intensity
+        assert z[off > 0.5].max() < 1e-8 * z.max()
 
     def test_nonfinite_input_rejected(self, model):
         with pytest.raises(ValueError):
-            jsi_eval(model, float("nan"), 370.0)
+            jsi_map(model, FrequencyGrid(float("nan"), 400.0, 64))
         with pytest.raises(ValueError):
-            jsi_eval(model, -370.0, 370.0)
+            jsi_map(model, FrequencyGrid(-400.0, 1140.0, 64))
 
     def test_cw_pointwise_limit_rejected(self):
         zero_pump = BiphotonSpectrumModel(pump_fwhm_thz=0.0)
         with pytest.raises(ValueError):
-            jsi_eval(zero_pump, 370.0, 370.0)
+            jsi_map(zero_pump)
 
 
 class TestNormalization:
