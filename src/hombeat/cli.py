@@ -11,6 +11,7 @@ failure (non-convergence, refused analysis, no extractable structure),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -48,6 +49,10 @@ EXIT_IO = 4
 BIN_THRESHOLD = 0.6
 
 
+# Built once per process: a parser is a cyclic object graph that only the
+# cyclic GC frees, so rebuilding it on every in-process main() call leaves
+# garbage that ages into the collector's oldest generation.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hombeat",

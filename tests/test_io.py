@@ -152,6 +152,12 @@ class TestScanCsvErrors:
         with pytest.raises(IOFormatError, match="malformed scan row"):
             read_scan(str(path))
 
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("tau2_ps,probability_model\n0.0,0.5\n0.1\n0.2,0.5\n")
+        with pytest.raises(IOFormatError, match="malformed scan row"):
+            read_scan(str(path))
+
     def test_counting_columns_without_counts_per_point(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("tau2_ps,probability_model,counts,sigma\n"
@@ -427,6 +433,19 @@ class TestWriteJson:
     def test_nan_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_json(str(tmp_path / "bad.json"), {"x": float("nan")})
+
+    def test_shorter_payload_replaces_longer_file(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(str(path), {"values": list(range(500))})
+        write_json(str(path), {"a": 1})
+        assert path.read_bytes() == b'{\n  "a": 1\n}\n'
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        write_json(str(tmp_path / "x.json"), {"a": 1})
+        with open(tmp_path / "y.json", "w"):
+            pass
+        assert ((tmp_path / "x.json").stat().st_mode
+                == (tmp_path / "y.json").stat().st_mode)
 
     def test_bundle_structure(self, tmp_path):
         path = tmp_path / "bundle.json"
