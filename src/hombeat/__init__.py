@@ -66,7 +66,6 @@ from .spectral import (
     JointSpectrumMap,
     default_grid,
     detuning_density,
-    marginal_bandwidth,
 )
 from .units import (
     C_NM_PER_PS,
@@ -122,7 +121,6 @@ __all__ = [
     "fringe_scan",
     "levenberg_marquardt",
     "load_scenario",
-    "marginal_bandwidth",
     "predict_bins",
     "scenario_from_dict",
     "scenario_to_dict",

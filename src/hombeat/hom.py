@@ -77,13 +77,32 @@ def bunching_probability(model: BiphotonSpectrumModel,
     return 0.5 * (1.0 + model.detuning_coherence(_fold_delay(tau1_ps)))
 
 
-def _pump_cell_mass(nu_edges: np.ndarray, zp: float,
-                    sig_p: float) -> np.ndarray:
-    """Integral of exp(-(nu1 + nu2 - zp)^2 / (2 sig_p^2)) over each cell.
+def _first_column(nu_edges: np.ndarray, zp: float, level: float) -> np.ndarray:
+    """First column c of each corner row k where z = nu_edges[k] +
+    nu_edges[c] - zp < level. z falls along each row, in floats too, so
+    searchsorted finds c up to rounding and the loop moves it onto the
+    floats the corners are evaluated at."""
+    n1 = nu_edges.size
+
+    def below(c):
+        return nu_edges + nu_edges[np.clip(c, 0, n1 - 1)] - zp < level
+    c = np.searchsorted(-nu_edges, nu_edges - zp - level)
+    while (move := ((c < n1) & ~below(c)) * 1 - ((c > 0) & below(c - 1))).any():
+        c += move
+    return c
+
+
+def _pump_cell_mass(nu_edges: np.ndarray, zp: float, sig_p: float):
+    """Rows, columns and pump masses of the cells in the pump band.
 
     Cell (i, j) spans [nu_edges[i + 1], nu_edges[i]] x [nu_edges[j + 1],
-    nu_edges[j]], and its integral is the signed sum of the double
-    antiderivative T (T'' = exp(-z^2 / (2 sig_p^2))) at its four corners.
+    nu_edges[j]]; its mass is t00 - t10 - t01 + t11, with t the double
+    antiderivative T of exp(-z^2 / (2 sig_p^2)) at its corners, z = nu1 +
+    nu2 - zp. Beyond R = _PUMP_REACH sig_p, T is exactly 0.0 (z <= -R) or
+    exactly linear, z * 2K with K = sig_p sqrt(pi/2) (z >= R), so a cell
+    with all four corners on one side has mass exactly 0. The other cells,
+    the band, form one column range per row since z falls along both axes;
+    T is taken once per band corner, and each keeps the dense bits.
     """
     def T(z):
         gz = np.exp(-z * z / (2.0 * sig_p**2))
@@ -91,14 +110,27 @@ def _pump_cell_mass(nu_edges: np.ndarray, zp: float,
             1.0 + _erf(z / (sig_p * np.sqrt(2.0))))
         return z * phi + sig_p**2 * gz
 
-    z = nu_edges[:, None] + nu_edges[None, :] - zp
-    # Beyond the reach T is exactly 0.0 below the pump line and z * 2K
-    # above it, K = sig_p sqrt(pi/2): the floats the full formula gives.
-    two_k = sig_p * np.sqrt(np.pi / 2.0) * 2.0
-    t = np.where(z > 0, z * two_k, 0.0)
-    near = np.abs(z) < _PUMP_REACH * sig_p
+    reach = _PUMP_REACH * sig_p
+    n = nu_edges.size - 1
+    # Cell (i, j) is in the band when its lowest corner (i + 1, j + 1) lies
+    # below R and its highest corner (i, j) not below -R (at -R, T is 0.0).
+    lo = np.maximum(_first_column(nu_edges, zp, reach)[1:] - 1, 0)
+    hi = np.minimum(_first_column(nu_edges, zp, -reach)[:-1], n)
+    # Corner row k holds the top corners of cell row k and the bottom ones
+    # of cell row k - 1, from column first[k]; corner (k, c) is t[origin[k] + c].
+    first = np.append(lo, lo[-1])
+    count = np.maximum(np.insert(hi, 0, hi[0]) + 1 - first, 0)
+    origin = np.cumsum(count) - count - first
+    k = np.repeat(np.arange(n + 1), count)
+    z = nu_edges[k] + nu_edges[np.arange(k.size) - origin[k]] - zp
+    t = np.where(z > 0, z * (sig_p * np.sqrt(np.pi / 2.0) * 2.0), 0.0)
+    near = np.abs(z) < reach
     t[near] = T(z[near])
-    return t[:-1, :-1] - t[1:, :-1] - t[:-1, 1:] + t[1:, 1:]
+    width = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(n), width)
+    j = np.arange(i.size) - (np.cumsum(width) - width - lo)[i]
+    top, bottom = origin[i] + j, origin[i + 1] + j
+    return i, j, t[top] - t[bottom] - t[top + 1] + t[bottom + 1]
 
 
 def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
@@ -110,15 +142,9 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
     varying envelope and the caller-supplied detuning factor are evaluated
     at cell centers.
 
-    Neighbouring cells share corners, so the pump antiderivative T is
-    taken once per corner (``_pump_cell_mass``). Beyond _PUMP_REACH pump
-    widths from the pump line the Gaussian in T underflows to 0.0 and erf
-    is exactly +-1, so T there is exactly 0.0 below the line and z * 2K
-    above it (K = sig_p sqrt(pi/2)): the very floats the full formula
-    returns, which is why these corners skip exp and erf without changing
-    a bit. The envelope and detuning factor run only on cells with
-    positive pump mass; every other cell is 0.0, as clipping the product
-    at zero gives.
+    Only the pump band is built (``_pump_cell_mass``); cells beyond it,
+    whose pump mass is exactly 0, and band cells whose mass is not positive
+    read +0.0. Every other cell keeps the bits of the dense cell integral.
     """
     sig1 = model.sigma_single_thz
     nu0 = model.center_frequency_thz
@@ -141,17 +167,17 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
     # Decreasing, so cell k spans [nu_edges[k + 1], nu_edges[k]].
     nu_edges = C_NM_PER_PS / edges
 
-    pump_mass = _pump_cell_mass(nu_edges, model.sum_frequency_thz, sig_p)
-
-    live = np.nonzero(pump_mass > 0)
+    i, j, pump_mass = _pump_cell_mass(nu_edges, model.sum_frequency_thz, sig_p)
+    live = pump_mass > 0
+    i, j = i[live], j[live]
     # Midpoints in frequency, not c/lambda_center: midpoint evaluation makes
     # the per-cell quadrature error telescope away in the total mass.
     nu_c = 0.5 * (nu_edges[1:] + nu_edges[:-1])
-    d = nu_c[live[0]] - nu_c[live[1]]
+    d = nu_c[i] - nu_c[j]
     norm = 1.0 / (2.0 * np.pi * sig_p * sig1)
     slow = norm * np.exp(-d * d / (8.0 * sig1**2))
-    intensity = np.zeros_like(pump_mass)
-    intensity[live] = (pump_mass[live] * slow * detuning_factor(d)
+    intensity = np.zeros((lam.size, lam.size))
+    intensity[i, j] = (pump_mass[live] * slow * detuning_factor(d)
                        / (step * step))
     return JointSpectrumMap(signal_nm=lam, idler_nm=lam.copy(),
                             intensity=intensity)

@@ -5,8 +5,10 @@ round-trip) so identical inputs produce byte-identical files; nothing here
 writes timestamps except the run bundle, which is explicitly excluded from
 the byte-determinism contract.
 
-The map writers format each distinct value once and skip json.dumps, whose
-indented form runs the slow pure-Python encoder; TestMapWriterOracles in
+The map writers skip json.dumps and format only live cells, those not +0.0
+(none beyond the pump band): each row starts from a per-idler +0.0 template
+("{idler},0.0" in CSV, "0.0" in JSON), takes the repr of each distinct live
+value once, and is joined and written on its own. TestMapWriterOracles in
 tests/test_io.py holds them byte-equal to json.dumps and a per-cell CSV loop.
 """
 
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
@@ -49,14 +53,27 @@ class IOFormatError(RuntimeError):
     """An input file does not match the expected format."""
 
 
-def _reprs(values) -> list:
+def _map_rows(values, heads: list[str]) -> list[list[str]]:
+    """Cell texts of each row of a 2D array, heads[j] + repr(value): the
+    +0.0 template, shared by rows with no live cell (-0.0, NaN, inf live)."""
     flat = np.asarray(values, dtype=float).ravel()
-    live = (flat != 0.0) | np.signbit(flat)  # +0.0 shares texts[0]; -0.0 is live
+    live = np.flatnonzero((flat != 0.0) | np.signbit(flat))
     distinct, inverse = np.unique(flat[live], return_inverse=True)
-    texts = np.array(["0.0", *map(repr, distinct.tolist())], dtype=object)
-    index = np.zeros(flat.size, dtype=np.intp)
-    index[live] = inverse + 1
-    return texts[index].reshape(np.shape(values)).tolist()
+    texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    head = np.array(heads, dtype=object)
+    row, col = np.divmod(live, len(heads))
+    template = [f"{h}0.0" for h in heads]
+    rows = [template] * len(values)
+    for i, j, text in zip(row.tolist(), col.tolist(),
+                          (head[col] + texts[inverse]).tolist()):
+        if rows[i] is template:
+            rows[i] = template.copy()
+        rows[i][j] = text
+    return rows
+
+
+def _reprs(values) -> list[str]:
+    return _map_rows(np.reshape(values, (1, -1)), [""] * np.size(values))[0]
 
 
 def _json_array(items: list[str], depth: int = 1) -> str:
@@ -64,16 +81,14 @@ def _json_array(items: list[str], depth: int = 1) -> str:
     return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text as UTF-8 over the file's old bytes, then cut its tail.
-
-    Opening an existing file with truncation makes ext4 start its writeback
-    on close (auto_da_alloc), which blocks the writer for as long as a busy
-    disk takes; overwriting in place leaves writeback to the kernel.
-    """
-    data = text.encode("utf-8")
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or its chunks in turn, as UTF-8 over the file's old bytes,
+    then cut its tail: opening with truncation makes ext4 start writeback on
+    close (auto_da_alloc), which blocks for as long as a busy disk takes.
+    Chunk by chunk, a map is never held whole, as text or as bytes."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
+        for chunk in [text] if isinstance(text, str) else text:
+            fh.write(chunk.encode("utf-8"))
         fh.truncate()
 
 
@@ -85,25 +100,27 @@ def write_json(path: str, payload: dict) -> None:
 
 def write_map_csv(map_: JointSpectrumMap, path: str) -> None:
     """Row-major 2D map: one line per (signal, idler) sample."""
-    idler = [f"{v}," for v in _reprs(map_.idler_nm)]
-    parts = [f"# schema_version={SCHEMA_VERSION}\nsignal_nm,idler_nm,intensity"]
-    for s, row in zip(_reprs(map_.signal_nm), _reprs(map_.intensity)):
-        line = [f"\n{s},"] * (3 * len(idler))
-        line[1::3], line[2::3] = idler, row
-        parts += line
-    _write_text(path, "".join(parts) + "\n")
+    heads = [f"{v}," for v in _reprs(map_.idler_nm)]
+    leads = [f"\n{s}," for s in _reprs(map_.signal_nm)]
+    rows = (lead + lead.join(cells)
+            for lead, cells in zip(leads, _map_rows(map_.intensity, heads))
+            if cells)
+    header = f"# schema_version={SCHEMA_VERSION}\nsignal_nm,idler_nm,intensity"
+    _write_text(path, chain([header], rows, ["\n"]))
 
 
 def write_map_json(map_: JointSpectrumMap, path: str) -> None:
     arrays = (map_.idler_nm, map_.intensity, map_.signal_nm)
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("Out of range float values are not JSON compliant")
-    idler, rows, signal = map(_reprs, arrays)
-    intensity = _json_array([_json_array(r, 2) for r in rows])
-    fields = {"idler_nm": _json_array(idler), "intensity": intensity,
-              "signal_nm": _json_array(signal), "schema_version": str(SCHEMA_VERSION)}
-    body = ",\n".join(f'  "{k}": {v}' for k, v in sorted(fields.items()))
-    _write_text(path, "{\n" + body + "\n}\n")
+    rows = [_json_array(r, 2) for r in _map_rows(map_.intensity, [""] * len(map_.idler_nm))]
+    # The json.dumps(indent=2, sort_keys=True) text, the intensity row by row.
+    seps = ["[\n    "] + [",\n    "] * (len(rows) - 1)
+    _write_text(path, chain(
+        [f'{{\n  "idler_nm": {_json_array(_reprs(map_.idler_nm))},\n  "intensity": '],
+        chain(*zip(seps, rows), ["\n  ]"]) if rows else ["[]"],
+        [f',\n  "schema_version": {SCHEMA_VERSION},\n  "signal_nm": '
+         f'{_json_array(_reprs(map_.signal_nm))}\n}}\n']))
 
 
 def write_scan_csv(scan: FringeScan, model_probs: np.ndarray, path: str,

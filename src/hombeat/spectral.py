@@ -21,7 +21,6 @@ __all__ = [
     "JointSpectrumMap",
     "default_grid",
     "detuning_density",
-    "marginal_bandwidth",
 ]
 
 
@@ -177,9 +176,6 @@ class JointSpectrumMap:
         ws, wi = self.cell_widths()
         return self.intensity * ws[:, None] * wi[None, :]
 
-    def total_mass(self) -> float:
-        return float(self.cell_masses().sum())
-
 
 def _axis_widths(axis: np.ndarray) -> np.ndarray:
     edges = np.empty(axis.size + 1)
@@ -201,35 +197,3 @@ def detuning_density(model: BiphotonSpectrumModel, detuning_thz):
     sig_d = model.sigma_detuning_thz
     out = np.exp(-d * d / (2.0 * sig_d**2)) / (np.sqrt(2.0 * np.pi) * sig_d)
     return float(out) if np.isscalar(detuning_thz) else out
-
-
-def marginal_bandwidth(model: BiphotonSpectrumModel, n_points: int = 4001) -> float:
-    """FWHM (nm) of the single-photon wavelength marginal.
-
-    The frequency marginal is Gaussian with variance sigma_1^2 +
-    sigma_p^2 / 4 (the partner photon integrated out in closed form). It is
-    transformed to the wavelength domain with its Jacobian and measured
-    between interpolated half-maximum crossings.
-    """
-    sig_m = np.hypot(model.sigma_single_thz, 0.5 * model.pump_sigma_thz)
-    nu0 = model.center_frequency_thz
-    nu = np.linspace(nu0 - 6.0 * sig_m, nu0 + 6.0 * sig_m, n_points)
-    dens_nu = (np.exp(-(nu - nu0) ** 2 / (2.0 * sig_m**2))
-               / (np.sqrt(2.0 * np.pi) * sig_m))
-    lam = C_NM_PER_PS / nu
-    dens_lam = dens_nu * C_NM_PER_PS / lam**2
-    order = np.argsort(lam)
-    lam, dens_lam = lam[order], dens_lam[order]
-    half = 0.5 * dens_lam.max()
-    above = dens_lam >= half
-    idx = np.nonzero(above)[0]
-    lo, hi = idx[0], idx[-1]
-
-    def cross(i0, i1):
-        x0, x1 = lam[i0], lam[i1]
-        y0, y1 = dens_lam[i0], dens_lam[i1]
-        return x0 + (half - y0) * (x1 - x0) / (y1 - y0)
-
-    left = cross(lo - 1, lo) if lo > 0 else lam[0]
-    right = cross(hi, hi + 1) if hi < lam.size - 1 else lam[-1]
-    return float(right - left)

@@ -35,15 +35,9 @@ def _math_erf_everywhere(x):
     return np.frompyfunc(math.erf, 1, 1)(x).astype(float)
 
 
-def _dense_cell_map(model, grid, detuning_factor):
-    """Bit-level oracle for the map: the dense cell integral.
-
-    T's full formula (exp and erf) at all four corners of every cell, each
-    cell on its own, and every factor on the whole grid before clipping
-    the product at zero.
-    """
-    sig1 = model.sigma_single_thz
-    sig_p = model.pump_sigma_thz
+def _cell_edges(grid):
+    """Wavelength samples, their step, and each cell's low and high
+    frequency edge."""
     lam = np.linspace(C_NM_PER_PS / grid.max_thz, C_NM_PER_PS / grid.min_thz,
                       grid.n_points)
     step = lam[1] - lam[0]
@@ -53,6 +47,28 @@ def _dense_cell_map(model, grid, detuning_factor):
     nu_edges = C_NM_PER_PS / edges
     lo = np.minimum(nu_edges[1:], nu_edges[:-1])
     hi = np.maximum(nu_edges[1:], nu_edges[:-1])
+    return lam, step, lo, hi
+
+
+def _corner_z(model, grid):
+    """z = nu1 + nu2 - zp at the four corners of every cell, as the dense
+    oracle evaluates them."""
+    _, _, lo, hi = _cell_edges(grid)
+    zp = model.sum_frequency_thz
+    return [a[:, None] + b[None, :] - zp
+            for a in (lo, hi) for b in (lo, hi)]
+
+
+def _dense_cell_map(model, grid, detuning_factor):
+    """Bit-level oracle for the map: the dense cell integral.
+
+    T's full formula (exp and erf) at all four corners of every cell, each
+    cell on its own, and every factor on the whole grid before clipping
+    the product at zero.
+    """
+    sig1 = model.sigma_single_thz
+    sig_p = model.pump_sigma_thz
+    lam, step, lo, hi = _cell_edges(grid)
 
     def T(z):
         gz = np.exp(-z * z / (2.0 * sig_p**2))
@@ -77,10 +93,10 @@ def _dense_cell_map(model, grid, detuning_factor):
                             intensity=intensity)
 
 
-def _same_bits(a, b):
+def _same_bits(a, b, keys=("signal_nm", "idler_nm", "intensity")):
     return all(np.array_equal(getattr(a, k).view(np.int64),
                               getattr(b, k).view(np.int64))
-               for k in ("signal_nm", "idler_nm", "intensity"))
+               for k in keys)
 
 
 def _cos(d, tau):
@@ -129,6 +145,18 @@ class TestCoincidenceSpectrum:
             folded = coincidence_spectrum(model, -0.12)
         straight = coincidence_spectrum(model, 0.12)
         assert np.array_equal(folded.intensity, straight.intensity)
+
+    def test_memory_is_set_by_the_pump_band(self, model):
+        # The band holds about 1,200 of the 262,144 cells, so the 2 MB
+        # intensity array should be most of the peak.
+        coincidence_spectrum(model, 0.27)
+        tracemalloc.start()
+        try:
+            coincidence_spectrum(model, 0.27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_zero_pump_width_rejected(self):
         cw = BiphotonSpectrumModel(pump_fwhm_thz=0.0)
@@ -284,10 +312,13 @@ class TestErfReach:
 
 
 class TestMapAgainstDenseOracle:
-    """Shared corners and the exact forms beyond the pump reach change no bit.
+    """The pump band keeps the dense oracle's bits; beyond it the map is 0.
 
-    At 5 THz the reach covers the whole grid, at 1e-6 THz the band is far
-    narrower than a cell; tau1 = None is the bare ``jsi_map``.
+    A cell whose four corners all lie at z >= R = _PUMP_REACH sig_p has
+    pump mass exactly 0, the second difference of T's linear tail, where
+    the dense oracle reads rounding residue; one whose corners all lie at
+    z <= -R is 0.0 in both. At 5 THz the band is the whole grid, at 1e-6
+    THz it is far narrower than a cell; tau1 = None is the bare ``jsi_map``.
     """
 
     @pytest.mark.parametrize("tau1", (None, 0.0, 0.12, 0.37, 3.0))
@@ -304,7 +335,33 @@ class TestMapAgainstDenseOracle:
             want = _dense_cell_map(
                 model, grid,
                 lambda d: 0.5 * (1.0 - np.cos(2.0 * np.pi * d * tau1)))
-        assert _same_bits(got, want)
+        reach = hom._PUMP_REACH * model.pump_sigma_thz
+        corners = _corner_z(model, grid)
+        above = np.logical_and.reduce([z >= reach for z in corners])
+        below = np.logical_and.reduce([z <= -reach for z in corners])
+        band = ~(above | below)
+        got_bits = got.intensity.view(np.int64)
+        assert np.array_equal(got_bits[band],
+                              want.intensity.view(np.int64)[band])
+        assert np.all(got_bits[~band] == 0)  # +0.0, not -0.0
+        residue = want.intensity[above].max(initial=0.0)
+        assert residue <= 1e-10 * want.intensity.max()
+        assert _same_bits(got, want, ("signal_nm", "idler_nm"))
+
+    def test_band_edges_are_exact_at_rounding_ties(self, model):
+        # At a level equal to a corner's z, or one float either side of it,
+        # the searchsorted estimate in _first_column is often off by one
+        # column; the loop must land on the float comparison itself.
+        _, _, lo, hi = _cell_edges(default_grid(model, n_points=32))
+        nu_edges = np.append(hi, lo[-1])
+        zp = model.sum_frequency_thz
+        z = (nu_edges[:, None] + nu_edges[None, :] - zp).ravel()
+        for level in np.concatenate([z, np.nextafter(z, np.inf),
+                                     np.nextafter(z, -np.inf)]):
+            below = z.reshape(nu_edges.size, -1) < level
+            want = np.where(below.any(axis=1), below.argmax(axis=1),
+                            nu_edges.size)
+            assert np.array_equal(hom._first_column(nu_edges, zp, level), want)
 
     def test_reach_is_past_exp_underflow(self):
         # Beyond the reach the Gaussian in T is exactly zero and erf is +-1.
