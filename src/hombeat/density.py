@@ -86,30 +86,6 @@ class RestrictedDensityMatrix:
     def populations(self) -> np.ndarray:
         return self.entries.real.diagonal().copy()
 
-    def mode_indices(self) -> list[tuple[int, int]]:
-        """(signal bin, idler bin) global numbers for each basis state."""
-        n_pairs = self.dimension_m // 2
-        out = []
-        for j in range(n_pairs):
-            lo, hi = n_pairs - j, n_pairs + 1 + j
-            out += [(lo, hi), (hi, lo)]
-        return out
-
-    def partial_trace(self, subsystem: str) -> np.ndarray:
-        """Reduced single-photon matrix over the m global bin numbers."""
-        if subsystem not in ("signal", "idler"):
-            raise ValueError("subsystem must be 'signal' or 'idler'")
-        pick = 0 if subsystem == "signal" else 1
-        other = 1 - pick
-        modes = self.mode_indices()
-        m = self.dimension_m
-        reduced = np.zeros((m, m), dtype=complex)
-        for u, mu_u in enumerate(modes):
-            for v, mu_v in enumerate(modes):
-                if mu_u[other] == mu_v[other]:
-                    reduced[mu_u[pick] - 1, mu_v[pick] - 1] += self.entries[u, v]
-        return reduced
-
 
 def _basis_labels(n_pairs: int) -> tuple[str, ...]:
     labels = []

@@ -107,16 +107,16 @@ def fringe_model_eval(params: FringeModelParams, tau2_ps):
 class FringeScan:
     """Sampled fringe data, either noiseless probabilities or counts.
 
-    In counts mode ``values`` holds Poisson-distributed coincidence counts
-    and ``uncertainties`` their square roots with a floor of one count, so
-    empty bins never produce zero weights downstream.
+    ``counts_per_point = 0`` marks a noiseless scan, whose ``values`` are
+    probabilities. Otherwise ``values`` holds Poisson-distributed
+    coincidence counts and ``uncertainties`` their square roots with a
+    floor of one count, so empty bins never produce zero weights downstream.
     """
 
     tau2_ps: np.ndarray
     values: np.ndarray
     uncertainties: np.ndarray
-    counts_mode: bool
-    counts_per_point: int | None
+    counts_per_point: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.tau2_ps, dtype=float)
@@ -131,9 +131,9 @@ class FringeScan:
             raise ValueError("scan arrays must be finite")
         if np.any(u < 0):
             raise ValueError("uncertainties must be non-negative")
-        if self.counts_mode:
-            if self.counts_per_point is None or self.counts_per_point < 1:
-                raise ValueError("counts mode requires counts_per_point >= 1")
+        if self.counts_per_point < 0:
+            raise ValueError("counts_per_point must not be negative")
+        if self.counts_per_point:
             expected = np.sqrt(np.maximum(v, 1.0))
             if not np.allclose(u, expected, rtol=0, atol=1e-9):
                 raise ValueError("counts-mode uncertainties must be sqrt(count) "
@@ -144,12 +144,12 @@ class FringeScan:
         return self.tau2_ps.size
 
     def probabilities(self) -> np.ndarray:
-        if self.counts_mode:
+        if self.counts_per_point:
             return self.values / self.counts_per_point
         return self.values
 
     def probability_sigmas(self) -> np.ndarray:
-        if self.counts_mode:
+        if self.counts_per_point:
             return self.uncertainties / self.counts_per_point
         return self.uncertainties
 
@@ -175,17 +175,13 @@ def sample_scan(probability, tau2_min_ps: float, tau2_max_ps: float,
         raise ValueError("counts_per_point must not be negative")
     tau2 = np.linspace(tau2_min_ps, tau2_max_ps, n_points)
     probs = probability(tau2)
-    if counts_per_point == 0:
-        scan = FringeScan(tau2_ps=tau2, values=probs,
-                          uncertainties=np.zeros_like(tau2),
-                          counts_mode=False, counts_per_point=None)
-    else:
-        counts = np.random.default_rng(seed).poisson(
+    values, sigma = probs, np.zeros_like(tau2)
+    if counts_per_point:
+        values = np.random.default_rng(seed).poisson(
             counts_per_point * probs).astype(float)
-        scan = FringeScan(tau2_ps=tau2, values=counts,
-                          uncertainties=np.sqrt(np.maximum(counts, 1.0)),
-                          counts_mode=True,
-                          counts_per_point=int(counts_per_point))
+        sigma = np.sqrt(np.maximum(values, 1.0))
+    scan = FringeScan(tau2_ps=tau2, values=values, uncertainties=sigma,
+                      counts_per_point=int(counts_per_point))
     return scan, probs
 
 

@@ -126,16 +126,16 @@ def write_map_json(map_: JointSpectrumMap, path: str) -> None:
 def write_scan_csv(scan: FringeScan, model_probs: np.ndarray, path: str,
                    seed: int | None = None) -> None:
     """Scan samples; count columns appear only for counting data."""
-    lines = [f"# schema_version={SCHEMA_VERSION}"]
+    lines = [f"# schema_version={SCHEMA_VERSION}",
+             f"# counts_per_point={scan.counts_per_point}"]
     columns = [scan.tau2_ps, model_probs]
-    if scan.counts_mode:
-        lines.append(f"# counts_per_point={scan.counts_per_point}")
+    if scan.counts_per_point:
         if seed is not None:
             lines.append(f"# seed={seed}")
         lines.append("tau2_ps,probability_model,counts,sigma")
         columns += [scan.values, scan.uncertainties]
     else:
-        lines += ["# counts_per_point=0", "tau2_ps,probability_model"]
+        lines.append("tau2_ps,probability_model")
     lines += map(",".join, zip(*map(_reprs, columns)))
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -144,11 +144,11 @@ def write_scan_json(scan: FringeScan, model_probs: np.ndarray, path: str,
                     seed: int | None = None) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "counts_per_point": scan.counts_per_point if scan.counts_mode else 0,
+        "counts_per_point": scan.counts_per_point,
         "tau2_ps": [float(v) for v in scan.tau2_ps],
         "probability_model": [float(v) for v in model_probs],
     }
-    if scan.counts_mode:
+    if scan.counts_per_point:
         payload["counts"] = [float(v) for v in scan.values]
         payload["sigma"] = [float(v) for v in scan.uncertainties]
         if seed is not None:
@@ -163,13 +163,10 @@ def _scan_from_columns(tau2, model_probs, counts, sigma, counts_per_point):
     tau2 = np.asarray(tau2, dtype=float)
     model_probs = np.asarray(model_probs, dtype=float)
     if counts is None:
-        scan = FringeScan(tau2_ps=tau2, values=model_probs,
-                          uncertainties=np.zeros_like(tau2),
-                          counts_mode=False, counts_per_point=None)
-    else:
-        scan = FringeScan(tau2_ps=tau2, values=np.asarray(counts, dtype=float),
-                          uncertainties=np.asarray(sigma, dtype=float),
-                          counts_mode=True, counts_per_point=counts_per_point)
+        counts, sigma, counts_per_point = model_probs, np.zeros_like(tau2), 0
+    scan = FringeScan(tau2_ps=tau2, values=np.asarray(counts, dtype=float),
+                      uncertainties=np.asarray(sigma, dtype=float),
+                      counts_per_point=counts_per_point)
     if scan.n_points < 3:
         raise IOFormatError(f"scan has {scan.n_points} points, need at least 3")
     return scan, model_probs

@@ -15,10 +15,14 @@ import numpy as np
 
 __all__ = ["LMOptions", "LMResult", "levenberg_marquardt"]
 
+# Damping at the start (see above) and past which the solver gives up.
+LAMBDA_INIT = 0.0
+LAMBDA_MAX = 1e12
+
 
 @dataclass(frozen=True)
 class LMOptions:
-    """Termination and damping controls.
+    """Termination controls and the finite-difference step.
 
     The solver stops when the infinity norm of the gradient drops below
     ``gradient_tol``, when a trial step (accepted or not) changes the cost
@@ -30,8 +34,6 @@ class LMOptions:
     gradient_tol: float = 1e-8
     cost_tol: float = 1e-10
     fd_step: float = 1e-6
-    lambda_init: float = 0.0
-    lambda_max: float = 1e12
 
 
 @dataclass
@@ -85,8 +87,8 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
     x0:
         Initial parameter vector, finite, at least one entry.
     options:
-        Termination and damping controls; defaults are fine for the fits in
-        this package.
+        Termination controls and the finite-difference step; defaults are
+        fine for the fits in this package.
     jacobian:
         Optional callable mapping a parameter vector to the
         (n_residuals, n_params) matrix of residual derivatives. Without it
@@ -119,7 +121,7 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
     if r.ndim != 1 or not np.all(np.isfinite(r)):
         raise ValueError("residual at the initial guess must be a finite 1D array")
     cost = 0.5 * float(r @ r)
-    lam = float(opt.lambda_init)
+    lam = LAMBDA_INIT
     nu = 2.0
     n_accepted = 0
     grad_norm = np.inf
@@ -151,7 +153,7 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
                     raise np.linalg.LinAlgError
             except np.linalg.LinAlgError:
                 lam = max(lam * 10.0, 1e-3 * diag_scale)
-                if lam > opt.lambda_max:
+                if lam > LAMBDA_MAX:
                     message = "damping overflow on singular normal equations"
                     break
                 continue
@@ -182,7 +184,7 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
                     break
                 lam = lam * nu if lam > 0 else 1e-3 * diag_scale
                 nu *= 2.0
-                if lam > opt.lambda_max:
+                if lam > LAMBDA_MAX:
                     message = "damping overflow, no acceptable step found"
                     break
         if not accepted or converged:

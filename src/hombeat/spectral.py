@@ -119,13 +119,6 @@ class FrequencyGrid:
         if self.n_points < 16:
             raise ValueError("grid needs at least 16 points per axis")
 
-    def frequencies(self) -> np.ndarray:
-        return np.linspace(self.min_thz, self.max_thz, self.n_points)
-
-    @property
-    def step_thz(self) -> float:
-        return (self.max_thz - self.min_thz) / (self.n_points - 1)
-
 
 def default_grid(model: BiphotonSpectrumModel, n_points: int = 512,
                  span_sigmas: float = 5.5) -> FrequencyGrid:

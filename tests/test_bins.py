@@ -14,7 +14,7 @@ from hombeat.bins import (
     predict_bins,
 )
 from hombeat.hom import coincidence_spectrum, jsi_map
-from hombeat.spectral import JointSpectrumMap
+from hombeat.spectral import JointSpectrumMap, detuning_density
 from hombeat.units import C_NM_PER_PS
 
 from conftest import BENCH_DELAYS_PS, detunings
@@ -71,6 +71,35 @@ def _dense_profile(map_, n_points=1024):
         y += (masses[sl][None, :]
               * np.exp(-0.5 * ((x[:, None] - d[sl][None, :]) / h) ** 2)).sum(axis=1)
     return x, y / (h * np.sqrt(2.0 * np.pi)), h
+
+
+def _trapezoid_lobes(model, tau1, threshold=0.6):
+    """Oracle for predict_bins: 1001-point trapezoids lobe by lobe.
+
+    Integrates each lobe between comb zeros, and its mirror at negative
+    detuning, separately. Returns the kept (centroids, weights).
+    """
+    lobes = []
+    for k in range(max(2, int(np.ceil(6.0 * model.sigma_detuning_thz * tau1)) + 1)):
+        lo, hi = k / tau1, (k + 1) / tau1
+        d = np.linspace(lo, hi, 1001)
+        w = detuning_density(model, d) * (1.0 - np.cos(2.0 * np.pi * d * tau1))
+        vol = np.trapezoid(w, d)
+        if vol <= 0:
+            continue
+        dn = np.linspace(-hi, -lo, 1001)
+        wn = detuning_density(model, dn) * (1.0 - np.cos(2.0 * np.pi * dn * tau1))
+        lobes.append((np.trapezoid(d * w, d) / vol, vol, np.trapezoid(wn, dn)))
+    vmax = max(v for _, v, _ in lobes)
+    kept = [(mu, v + vn) for mu, v, vn in lobes if v >= threshold * vmax]
+    total = sum(v for _, v in kept)
+    return (np.array([mu for mu, _ in kept]),
+            np.array([v / total for _, v in kept]))
+
+
+# The --fine sweep of scripts/run_delay_sweep.py and the reference delays.
+ORACLE_DELAYS_PS = sorted(set(np.round(np.arange(0.05, 0.8001, 0.025), 3).tolist())
+                          | set(BENCH_DELAYS_PS))
 
 
 def _assert_matches_dense_oracle(map_):
@@ -133,6 +162,27 @@ class TestPredictBins:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="threshold"):
                 predict_bins(model, 0.27, threshold=bad)
+
+    @pytest.mark.parametrize("tau1", ORACLE_DELAYS_PS)
+    def test_matches_trapezoid_oracle(self, model, tau1):
+        state = predict_bins(model, tau1)
+        mus, weights = _trapezoid_lobes(model, tau1)
+        assert state.dimension_m == 2 * mus.size
+        assert np.allclose(state.detunings_thz(), mus, rtol=1e-10, atol=0)
+        assert np.allclose(state.weights(), weights, rtol=1e-10, atol=0)
+        assert np.all(state.balances() == 0.5)
+
+    def test_long_delay_count_and_memory(self, model):
+        # At 1000 ps predict_bins integrates 46,571 lobes; the per-lobe
+        # oracle would take seconds here, so only m and memory are checked.
+        tracemalloc.start()
+        try:
+            state = predict_bins(model, 1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.dimension_m == 15690
+        assert peak < 8 * 2**20
 
     def test_bin_count_grows_with_delay(self, model):
         ms = [predict_bins(model, t).dimension_m
@@ -296,14 +346,6 @@ class TestDiscreteState:
     def make_pairs(self):
         return (FrequencyBinPair(1, 2.0, 0.6, 0.5),
                 FrequencyBinPair(2, 6.0, 0.4, 0.5))
-
-    def test_bin_frequencies_symmetric(self):
-        state = DiscreteState(self.make_pairs(), 810.0)
-        freqs = state.bin_frequencies()
-        nu0 = C_NM_PER_PS / 810.0
-        assert freqs.size == 4
-        assert np.all(np.diff(freqs) > 0)
-        assert np.allclose(freqs + freqs[::-1], 2 * nu0)
 
     def test_requires_ascending_detunings(self):
         pairs = (FrequencyBinPair(1, 6.0, 0.6, 0.5),

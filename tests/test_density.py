@@ -70,23 +70,6 @@ class TestConstruction:
         projector = np.outer([half, -half], [half, -half])
         assert np.abs(dm.entries - projector).max() < 1e-12
 
-    def test_partial_traces_are_diagonal_and_mixed(self):
-        for n_pairs in (1, 2):
-            dm = build_restricted_dm(
-                FringeModelParams(1.0, uniform_pairs(n_pairs, 1.0)))
-            m = dm.dimension_m
-            for subsystem in ("signal", "idler"):
-                reduced = dm.partial_trace(subsystem)
-                off = reduced - np.diag(np.diag(reduced))
-                assert np.abs(off).max() < 1e-12
-                assert np.allclose(np.diag(reduced).real, 1.0 / m, atol=1e-12)
-                assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_partial_trace_subsystem_names(self):
-        dm = build_restricted_dm(FringeModelParams(0.5, uniform_pairs(1, 0.8)))
-        with pytest.raises(ValueError, match="signal.*idler"):
-            dm.partial_trace("pump")
-
     def test_mode_validation(self):
         params = FringeModelParams(0.5, uniform_pairs(2, 0.8))
         with pytest.raises(ValueError, match="mode"):
@@ -139,7 +122,6 @@ class TestConstruction:
     def test_basis_labels_track_bin_numbers(self):
         dm = build_restricted_dm(FringeModelParams(0.5, uniform_pairs(2, 0.8)))
         assert dm.basis_labels == ("|w2,w3>", "|w3,w2>", "|w1,w4>", "|w4,w1>")
-        assert dm.mode_indices() == [(2, 3), (3, 2), (1, 4), (4, 1)]
 
 
 class TestEofBound:

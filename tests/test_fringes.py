@@ -127,37 +127,35 @@ class TestParamsValidation:
 class TestFringeScanValidation:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            FringeScan(np.zeros(4), np.zeros(3), np.zeros(4), False, None)
+            FringeScan(np.zeros(4), np.zeros(3), np.zeros(4))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            FringeScan(np.array([0.0, np.nan]), np.zeros(2), np.zeros(2),
-                       False, None)
+            FringeScan(np.array([0.0, np.nan]), np.zeros(2), np.zeros(2))
 
     def test_rejects_negative_uncertainty(self):
         with pytest.raises(ValueError):
-            FringeScan(np.zeros(2), np.zeros(2), np.array([1.0, -1.0]),
-                       False, None)
+            FringeScan(np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
 
-    def test_counts_mode_needs_counts_per_point(self):
+    def test_rejects_negative_counts_per_point(self):
         with pytest.raises(ValueError, match="counts_per_point"):
-            FringeScan(np.zeros(2), np.ones(2), np.ones(2), True, None)
+            FringeScan(np.zeros(2), np.ones(2), np.ones(2), -1)
 
     def test_counts_mode_enforces_sqrt_uncertainty(self):
         values = np.array([400.0, 0.0])
         good = np.array([20.0, 1.0])  # one-count floor on the empty bin
-        FringeScan(np.array([0.0, 0.1]), values, good, True, 1000)
+        FringeScan(np.array([0.0, 0.1]), values, good, 1000)
         with pytest.raises(ValueError, match="sqrt"):
             FringeScan(np.array([0.0, 0.1]), values, np.array([20.0, 0.0]),
-                       True, 1000)
+                       1000)
 
     def test_probability_accessors_normalize_counts(self):
         scan = FringeScan(np.array([0.0, 0.1]), np.array([400.0, 900.0]),
-                          np.array([20.0, 30.0]), True, 1000)
+                          np.array([20.0, 30.0]), 1000)
         assert np.allclose(scan.probabilities(), [0.4, 0.9])
         assert np.allclose(scan.probability_sigmas(), [0.02, 0.03])
         flat = FringeScan(np.array([0.0, 0.1]), np.array([0.4, 0.9]),
-                          np.zeros(2), False, None)
+                          np.zeros(2))
         assert np.array_equal(flat.probabilities(), flat.values)
 
 
@@ -165,8 +163,7 @@ class TestSynthScan:
     def test_noiseless_returns_model_curve(self):
         params = fringe_params_from_reference(0.27)
         scan = synth_scan(params, -0.75, 0.75, 301, 0)
-        assert not scan.counts_mode
-        assert scan.counts_per_point is None
+        assert scan.counts_per_point == 0
         assert np.array_equal(scan.values,
                               fringe_model_eval(params, scan.tau2_ps))
         assert np.all(scan.uncertainties == 0.0)
@@ -194,7 +191,7 @@ class TestSynthScan:
         flat = FringeModelParams(0.94, (
             FringePairParams(1.0, 1.94, 0.86, 182.14),))
         scan = synth_scan(flat, 2.0, 3.0, 10001, 1000, seed=3)
-        assert scan.counts_mode
+        assert scan.counts_per_point > 0
         ratio = np.var(scan.values) / np.mean(scan.values)
         assert ratio == pytest.approx(1.0, abs=0.1)
 
@@ -257,7 +254,7 @@ class TestSeedGuess:
 
     def test_needs_uniform_grid(self):
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-        scan = FringeScan(t, np.full(10, 0.6), np.zeros(10), False, None)
+        scan = FringeScan(t, np.full(10, 0.6), np.zeros(10))
         with pytest.raises(ValueError, match="uniform"):
             seed_guess(scan, 2)
 

@@ -233,7 +233,7 @@ class TestFringeScan:
 
     def test_scan_is_noiseless_probability(self, noiseless_scans):
         scan = noiseless_scans[0.27]
-        assert not scan.counts_mode
+        assert scan.counts_per_point == 0
         assert np.all(scan.uncertainties == 0.0)
 
     def test_beat_content_matches_three_pairs(self, model, predicted_states):

@@ -75,7 +75,6 @@ class TestScanCsv:
         path = str(tmp_path / "scan.csv")
         write_scan_csv(scan, probs, path, seed=5)
         loaded, model_col = read_scan(path)
-        assert loaded.counts_mode
         assert loaded.counts_per_point == 1000
         assert np.array_equal(loaded.tau2_ps, scan.tau2_ps)
         assert np.array_equal(loaded.values, scan.values)
@@ -102,8 +101,7 @@ class TestScanCsv:
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "tau2_ps,probability_model"
         loaded, model_col = read_scan(str(path))
-        assert not loaded.counts_mode
-        assert loaded.counts_per_point is None
+        assert loaded.counts_per_point == 0
         assert np.array_equal(loaded.values, scan.values)
         assert np.all(loaded.uncertainties == 0.0)
 
@@ -121,7 +119,7 @@ class TestScanCsv:
         n = 5
         tau2 = np.sort(rng.uniform(-5.0, 5.0, n))
         probs = rng.uniform(0.0, 1.0, n)
-        scan = FringeScan(tau2, probs, np.zeros(n), False, None)
+        scan = FringeScan(tau2, probs, np.zeros(n))
         path = str(tmp_path_factory.mktemp("rt") / "s.csv")
         write_scan_csv(scan, probs, path)
         loaded, model_col = read_scan(path)
@@ -188,7 +186,7 @@ class TestScanJson:
         path = str(tmp_path / "scan.json")
         write_scan_json(scan, probs, path, seed=5)
         loaded, model_col = read_scan(path)
-        assert loaded.counts_mode
+        assert loaded.counts_per_point > 0
         assert np.array_equal(loaded.values, scan.values)
         assert np.array_equal(model_col, probs)
         data = json.loads(open(path).read())
@@ -200,7 +198,7 @@ class TestScanJson:
         path = str(tmp_path / "scan.json")
         write_scan_json(scan, probs, path)
         loaded, _ = read_scan(path)
-        assert not loaded.counts_mode
+        assert loaded.counts_per_point == 0
         assert np.array_equal(loaded.values, scan.values)
         data = json.loads(open(path).read())
         assert data["counts_per_point"] == 0
