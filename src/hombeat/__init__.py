@@ -64,7 +64,6 @@ from .scenario import (
 from .spectral import (
     BiphotonSpectrumModel,
     JointSpectrumMap,
-    default_grid,
     detuning_density,
 )
 from .units import (
@@ -107,7 +106,6 @@ __all__ = [
     "coherence_time_from_delay",
     "coincidence_probability",
     "coincidence_spectrum",
-    "default_grid",
     "detuning_density",
     "detuning_profile",
     "eof_lower_bound",

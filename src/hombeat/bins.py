@@ -10,6 +10,7 @@ around bin states (coherence time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class FrequencyBinPair:
         if self.index_j < 1:
             raise ValueError("pair index is 1-based")
         vals = (self.detuning_thz, self.weight, self.balance, self.phase_deg)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("pair parameters must be finite")
         if self.detuning_thz <= 0:
             raise ValueError("detuning must be positive")

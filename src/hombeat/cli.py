@@ -19,7 +19,13 @@ from datetime import datetime, timezone
 
 from .bins import ExtractionError, extract_bins_from_map, predict_bins
 from .density import build_restricted_dm, eof_lower_bound, eof_reference_comparison
-from .fringes import SeedingError, fit_fringe_scan, sample_scan
+from .fringes import (
+    FringeModelParams,
+    FringeScan,
+    SeedingError,
+    fit_fringe_scan,
+    sample_scan,
+)
 from .hom import coincidence_spectrum, fringe_probability
 from .io import (
     IOFormatError,
@@ -157,10 +163,9 @@ class NonConvergedError(RuntimeError):
     """A numeric stage failed to converge or was refused."""
 
 
-def cmd_fit(scenario: Scenario, scan_path: str, out_dir: str,
+def cmd_fit(scenario: Scenario, scan: FringeScan, out_dir: str,
             known_weights=None, m: int | None = None):
-    """Fit the fringe model to a scan file and write the result."""
-    scan, _ = read_scan(scan_path)
+    """Fit the fringe model to a scan and write the result."""
     result = fit_fringe_scan(scan, m=scenario.fit.m if m is None else m,
                              known_weights=known_weights,
                              options=scenario.fit.lm_options())
@@ -169,14 +174,9 @@ def cmd_fit(scenario: Scenario, scan_path: str, out_dir: str,
     return {"fit": fit_path}, result
 
 
-def cmd_analyze(scenario: Scenario, fit_path: str, out_dir: str,
+def cmd_analyze(scenario: Scenario, params: FringeModelParams, out_dir: str,
                 balances=None):
-    """Build the density matrix and entanglement report from a fit file."""
-    params, meta = read_fit_json(fit_path)
-    if not meta["converged"]:
-        raise NonConvergedError(
-            f"refusing to analyze a non-converged fit ({meta['message']}); "
-            "rerun the fit with more iterations or a better seed")
+    """Build the density matrix and entanglement report from a fit."""
     dm = build_restricted_dm(params, balances=balances,
                              mode=scenario.analysis.mode)
     report = eof_lower_bound(dm)
@@ -201,14 +201,19 @@ def _run(args) -> int:
         outputs, _ = cmd_scan(scenario, out_dir, fmt)
     elif args.command == "fit":
         scan_path = args.scan_file or os.path.join(out_dir, f"scan.{fmt}")
-        outputs, result = cmd_fit(scenario, scan_path, out_dir)
+        outputs, result = cmd_fit(scenario, read_scan(scan_path)[0], out_dir)
         if not result.converged:
             print(f"fit did not converge: {result.message}", file=sys.stderr)
             print(f"wrote {outputs['fit']}", file=sys.stderr)
             return EXIT_NUMERIC
     elif args.command == "analyze":
         fit_path = args.fit_file or os.path.join(out_dir, "fit.json")
-        outputs, _ = cmd_analyze(scenario, fit_path, out_dir)
+        params, meta = read_fit_json(fit_path)
+        if not meta["converged"]:
+            raise NonConvergedError(
+                f"refusing to analyze a non-converged fit ({meta['message']}); "
+                "rerun the fit with more iterations or a better seed")
+        outputs, _ = cmd_analyze(scenario, params, out_dir)
     elif args.command == "pipeline":
         return _run_pipeline(scenario, out_dir, fmt)
     else:  # pragma: no cover - argparse enforces the choices
@@ -224,14 +229,14 @@ def _run_pipeline(scenario: Scenario, out_dir: str, fmt: str) -> int:
     outputs = {}
     spec_outputs, extraction = cmd_spectrum(scenario, out_dir, fmt)
     outputs.update(spec_outputs)
-    scan_outputs, _ = cmd_scan(scenario, out_dir, fmt)
+    scan_outputs, scan = cmd_scan(scenario, out_dir, fmt)
     outputs.update(scan_outputs)
     state = extraction.state
     # The extracted weights pin the weight-visibility split of the fit, so
     # they are passed along whenever the requested m matches the extraction.
     m_fit = scenario.fit.m if scenario.fit.m is not None else state.dimension_m
     weights = state.weights() if m_fit == state.dimension_m else None
-    fit_outputs, result = cmd_fit(scenario, outputs["scan"], out_dir,
+    fit_outputs, result = cmd_fit(scenario, scan, out_dir,
                                   known_weights=weights, m=m_fit)
     outputs.update(fit_outputs)
     if not result.converged:
@@ -239,7 +244,7 @@ def _run_pipeline(scenario: Scenario, out_dir: str, fmt: str) -> int:
         _finish_bundle(scenario, out_dir, outputs)
         return EXIT_NUMERIC
     balances = state.balances() if m_fit == state.dimension_m else None
-    an_outputs, _ = cmd_analyze(scenario, outputs["fit"], out_dir,
+    an_outputs, _ = cmd_analyze(scenario, result.params, out_dir,
                                 balances=balances)
     outputs.update(an_outputs)
     _finish_bundle(scenario, out_dir, outputs)

@@ -9,6 +9,7 @@ amplitudes) so the damped least-squares core never sees bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class FringePairParams:
     phase_deg: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in
-                   (self.weight, self.detuning_thz, self.visibility, self.phase_deg)):
+        if not all(map(math.isfinite, (self.weight, self.detuning_thz,
+                                       self.visibility, self.phase_deg))):
             raise ValueError("fringe pair parameters must be finite")
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
@@ -109,49 +110,43 @@ class FringeScan:
 
     ``counts_per_point = 0`` marks a noiseless scan, whose ``values`` are
     probabilities. Otherwise ``values`` holds Poisson-distributed
-    coincidence counts and ``uncertainties`` their square roots with a
-    floor of one count, so empty bins never produce zero weights downstream.
+    coincidence counts, which cannot be negative.
     """
 
     tau2_ps: np.ndarray
     values: np.ndarray
-    uncertainties: np.ndarray
     counts_per_point: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.tau2_ps, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        u = np.asarray(self.uncertainties, dtype=float)
         object.__setattr__(self, "tau2_ps", t)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "uncertainties", u)
-        if not (t.size == v.size == u.size):
+        if t.size != v.size:
             raise ValueError("scan arrays must have equal lengths")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v)) and np.all(np.isfinite(u))):
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("scan arrays must be finite")
-        if np.any(u < 0):
-            raise ValueError("uncertainties must be non-negative")
         if self.counts_per_point < 0:
             raise ValueError("counts_per_point must not be negative")
-        if self.counts_per_point:
-            expected = np.sqrt(np.maximum(v, 1.0))
-            if not np.allclose(u, expected, rtol=0, atol=1e-9):
-                raise ValueError("counts-mode uncertainties must be sqrt(count) "
-                                 "with a one-count floor")
+        if self.counts_per_point and np.any(v < 0):
+            raise ValueError("counts must not be negative")
 
     @property
     def n_points(self) -> int:
         return self.tau2_ps.size
 
+    @property
+    def uncertainties(self) -> np.ndarray:
+        """Square roots of the counts with a floor of one count, so empty
+        bins never produce zero weights downstream; zeros when noiseless."""
+        if self.counts_per_point:
+            return np.sqrt(np.maximum(self.values, 1.0))
+        return np.zeros_like(self.values)
+
     def probabilities(self) -> np.ndarray:
         if self.counts_per_point:
             return self.values / self.counts_per_point
         return self.values
-
-    def probability_sigmas(self) -> np.ndarray:
-        if self.counts_per_point:
-            return self.uncertainties / self.counts_per_point
-        return self.uncertainties
 
 
 def sample_scan(probability, tau2_min_ps: float, tau2_max_ps: float,
@@ -175,12 +170,11 @@ def sample_scan(probability, tau2_min_ps: float, tau2_max_ps: float,
         raise ValueError("counts_per_point must not be negative")
     tau2 = np.linspace(tau2_min_ps, tau2_max_ps, n_points)
     probs = probability(tau2)
-    values, sigma = probs, np.zeros_like(tau2)
+    values = probs
     if counts_per_point:
         values = np.random.default_rng(seed).poisson(
             counts_per_point * probs).astype(float)
-        sigma = np.sqrt(np.maximum(values, 1.0))
-    scan = FringeScan(tau2_ps=tau2, values=values, uncertainties=sigma,
+    scan = FringeScan(tau2_ps=tau2, values=values,
                       counts_per_point=int(counts_per_point))
     return scan, probs
 
@@ -300,7 +294,7 @@ def _unpack(theta: np.ndarray, n_pairs: int):
     for j in range(n_pairs):
         mu, z, phi = theta[1 + 3 * j: 4 + 3 * j]
         c = _sigmoid(z)
-        comps.append((abs(float(mu)), float(c), float(np.rad2deg(phi) % 360.0)))
+        comps.append((float(mu), float(c), float(np.rad2deg(phi) % 360.0)))
     return tau_c, comps
 
 
@@ -386,9 +380,8 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
         raise ValueError("scan shorter than the free parameter count")
 
     y = scan.probabilities()
-    sig = scan.probability_sigmas()
-    if np.all(sig == 0):
-        sig = np.ones_like(y)
+    sig = (scan.uncertainties / scan.counts_per_point if scan.counts_per_point
+           else np.ones_like(y))
     t = scan.tau2_ps
 
     def residual(theta):
@@ -399,7 +392,11 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
 
     lm_res: LMResult = levenberg_marquardt(residual, theta0, options, jacobian)
 
-    tau_c, comps = _unpack(lm_res.params, n_pairs)
+    # cos(2 pi mu tau + phi) = cos(2 pi (-mu) tau - phi): each negative-mu
+    # pair is unpacked as (-mu, -phi), with its covariance rows and columns.
+    sign = np.ones(theta0.size)
+    sign[1::3] = sign[3::3] = np.where(lm_res.params[1::3] < 0, -1.0, 1.0)
+    tau_c, comps = _unpack(lm_res.params * sign, n_pairs)
     order = np.argsort([c[0] for c in comps])
     comps = [comps[k] for k in order]
     amps = np.array([c[1] for c in comps])
@@ -440,7 +437,7 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
         dmat[base_new + 1, base_old + 1] = c * (1.0 - c)
         dmat[base_new + 2, base_old + 2] = 180.0 / np.pi
         names += [f"detuning_thz_{new_j}", f"amplitude_{new_j}", f"phase_deg_{new_j}"]
-    covariance = dmat @ lm_res.covariance @ dmat.T
+    covariance = dmat @ (lm_res.covariance * np.outer(sign, sign)) @ dmat.T
 
     return FitResult(
         params=fitted,

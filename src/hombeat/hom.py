@@ -16,12 +16,7 @@ import warnings
 import numpy as np
 
 from .fringes import FringeScan, sample_scan
-from .spectral import (
-    BiphotonSpectrumModel,
-    FrequencyGrid,
-    JointSpectrumMap,
-    default_grid,
-)
+from .spectral import BiphotonSpectrumModel, JointSpectrumMap
 from .units import C_NM_PER_PS
 
 __all__ = [
@@ -31,6 +26,10 @@ __all__ = [
     "fringe_probability",
     "fringe_scan",
 ]
+
+# Map axes span nu0 +- this many single-photon standard deviations, which
+# cuts off a Gaussian mass below 1e-7, inside the 1e-6 normalization budget.
+_SPAN_SIGMAS = 5.5
 
 # math.erf(x) is exactly +-1.0 in double precision for |x| >= 5.9216, so
 # erf is evaluated only inside this reach.
@@ -133,33 +132,33 @@ def _pump_cell_mass(nu_edges: np.ndarray, zp: float, sig_p: float):
     return i, j, t[top] - t[bottom] - t[top + 1] + t[bottom + 1]
 
 
-def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
+def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
                          detuning_factor) -> JointSpectrumMap:
     """Wavelength-domain map of pump x envelope x detuning_factor(d).
 
-    The narrow pump factor is integrated exactly over each grid cell (the
-    map would otherwise alias badly for a near-CW pump), while the slowly
-    varying envelope and the caller-supplied detuning factor are evaluated
-    at cell centers.
+    The axes span nu0 +- _SPAN_SIGMAS single-photon standard deviations in
+    n_points uniform wavelength steps. The narrow pump factor is integrated
+    exactly over each cell (the map would otherwise alias badly for a
+    near-CW pump), while the slowly varying envelope and the caller-supplied
+    detuning factor are evaluated at cell centers.
 
     Only the pump band is built (``_pump_cell_mass``); cells beyond it,
     whose pump mass is exactly 0, and band cells whose mass is not positive
     read +0.0. Every other cell keeps the bits of the dense cell integral.
     """
+    if n_points < 16:
+        raise ValueError("grid needs at least 16 points per axis")
     sig1 = model.sigma_single_thz
     nu0 = model.center_frequency_thz
-    span = min(nu0 - grid.min_thz, grid.max_thz - nu0)
-    if span < 4.0 * sig1:
-        raise ValueError("grid must span at least 4 envelope standard "
-                         "deviations around the degenerate frequency")
-    if grid.min_thz <= 0:
+    half = _SPAN_SIGMAS * sig1
+    if nu0 - half <= 0:
         raise ValueError("grid frequencies must be positive")
     sig_p = model.pump_sigma_thz
     if sig_p <= 0:
         raise ValueError("2D maps need pump_fwhm_thz > 0")
 
-    lam = np.linspace(C_NM_PER_PS / grid.max_thz, C_NM_PER_PS / grid.min_thz,
-                      grid.n_points)
+    lam = np.linspace(C_NM_PER_PS / (nu0 + half), C_NM_PER_PS / (nu0 - half),
+                      n_points)
     step = lam[1] - lam[0]
     edges = np.concatenate([[lam[0] - 0.5 * step],
                             0.5 * (lam[:-1] + lam[1:]),
@@ -183,20 +182,17 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, grid: FrequencyGrid,
                             intensity=intensity)
 
 
-def jsi_map(model: BiphotonSpectrumModel, grid: FrequencyGrid | None = None,
+def jsi_map(model: BiphotonSpectrumModel,
             n_points: int = 512) -> JointSpectrumMap:
     """Wavelength-domain map of the bare joint spectral intensity.
 
     No interferometer applied; the map integrates to 1 up to grid
     truncation.
     """
-    if grid is None:
-        grid = default_grid(model, n_points=n_points)
-    return _wavelength_cell_map(model, grid, lambda d: np.ones_like(d))
+    return _wavelength_cell_map(model, n_points, lambda d: np.ones_like(d))
 
 
 def coincidence_spectrum(model: BiphotonSpectrumModel, tau1_ps: float,
-                         grid: FrequencyGrid | None = None,
                          n_points: int = 512) -> JointSpectrumMap:
     """Joint spectrum of coincidence events at delay tau1.
 
@@ -204,10 +200,8 @@ def coincidence_spectrum(model: BiphotonSpectrumModel, tau1_ps: float,
     multiplied by the anti-bunching factor (1 - cos(2*pi*d*tau1))/2.
     """
     tau1 = _fold_delay(tau1_ps)
-    if grid is None:
-        grid = default_grid(model, n_points=n_points)
     return _wavelength_cell_map(
-        model, grid,
+        model, n_points,
         lambda d: 0.5 * (1.0 - np.cos(2.0 * np.pi * d * tau1)))
 
 

@@ -160,13 +160,15 @@ def _scan_from_columns(tau2, model_probs, counts, sigma, counts_per_point):
     kind, floor = ("noiseless", 0) if counts is None else ("counting", 1)
     if counts_per_point < floor:
         raise IOFormatError(f"{kind} scan has counts_per_point < {floor}")
-    tau2 = np.asarray(tau2, dtype=float)
     model_probs = np.asarray(model_probs, dtype=float)
     if counts is None:
-        counts, sigma, counts_per_point = model_probs, np.zeros_like(tau2), 0
-    scan = FringeScan(tau2_ps=tau2, values=np.asarray(counts, dtype=float),
-                      uncertainties=np.asarray(sigma, dtype=float),
+        counts, sigma, counts_per_point = model_probs, np.zeros_like(model_probs), 0
+    scan = FringeScan(tau2_ps=tau2, values=counts,
                       counts_per_point=counts_per_point)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != scan.values.shape or not np.allclose(
+            sigma, scan.uncertainties, rtol=0, atol=1e-9):
+        raise ValueError("sigma must be sqrt(count) with a one-count floor")
     if scan.n_points < 3:
         raise IOFormatError(f"scan has {scan.n_points} points, need at least 3")
     return scan, model_probs

@@ -1,10 +1,11 @@
-"""Parametric biphoton joint spectral intensity model and sampling grids.
+"""Parametric biphoton joint spectral intensity model and its sampled map.
 
 The source model is a product of two Gaussians in ordinary frequency: a
 narrow pump factor in the sum frequency nu1+nu2 (energy conservation) and a
 broad phase-matching factor in the difference nu1-nu2. Everything downstream
 (coincidence spectra, fringe scans, bin prediction) integrates against this
-density.
+density. ``JointSpectrumMap`` holds a sampled wavelength-domain map, which
+``hombeat.hom`` builds on axes set by the model and the point count alone.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from .units import C_NM_PER_PS, FWHM_PER_SIGMA, wavelength_to_frequency
 
 __all__ = [
     "BiphotonSpectrumModel",
-    "FrequencyGrid",
     "JointSpectrumMap",
-    "default_grid",
     "detuning_density",
 ]
 
@@ -101,38 +100,6 @@ class BiphotonSpectrumModel:
         tau = np.asarray(tau_ps, dtype=float)
         out = np.exp(-2.0 * np.pi**2 * self.sigma_detuning_thz**2 * tau * tau)
         return float(out) if np.isscalar(tau_ps) else out
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform per-axis frequency grid for 2D map sampling."""
-
-    min_thz: float
-    max_thz: float
-    n_points: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.min_thz) and np.isfinite(self.max_thz)):
-            raise ValueError("grid bounds must be finite")
-        if self.max_thz <= self.min_thz:
-            raise ValueError("grid max must exceed min")
-        if self.n_points < 16:
-            raise ValueError("grid needs at least 16 points per axis")
-
-
-def default_grid(model: BiphotonSpectrumModel, n_points: int = 512,
-                 span_sigmas: float = 5.5) -> FrequencyGrid:
-    """Grid centered on the degenerate frequency.
-
-    The default span of 5.5 single-photon standard deviations keeps the
-    truncated Gaussian mass below 1e-7, comfortably inside the 1e-6
-    normalization budget.
-    """
-    if span_sigmas < 4.0:
-        raise ValueError("grid must span at least 4 envelope standard deviations")
-    nu0 = model.center_frequency_thz
-    half = span_sigmas * model.sigma_single_thz
-    return FrequencyGrid(nu0 - half, nu0 + half, n_points)
 
 
 @dataclass(frozen=True)

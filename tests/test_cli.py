@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -51,6 +52,18 @@ class TestSpectrumCommand:
         assert rc == 0
         assert (out / "map.json").exists()
         assert not (out / "map.csv").exists()
+
+
+    def test_span_reaching_zero_frequency_is_a_configuration_error(
+            self, tmp_path, capsys):
+        # +-5.5 sigma_1 of a 400 nm marginal at 810 nm reaches below 0 THz.
+        scenario = write_scenario(tmp_path, model={"marginal_fwhm_nm": 400.0})
+        rc = main(["--scenario", scenario, "--out", str(tmp_path / "run"),
+                   "spectrum"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "grid frequencies must be positive" in err
+        assert "Traceback" not in err
 
 
 class TestScanCommand:
@@ -147,6 +160,34 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "counts_per_point < 0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_counts_rejected(self, tmp_path, capsys, fmt):
+        # Every 7th count negated, sigma kept consistent with the counts.
+        scenario = write_scenario(tmp_path, scan={"n_points": 601})
+        out = tmp_path / "run"
+        assert main(["--scenario", scenario, "--out", str(out), "--format", fmt,
+                     "scan"]) == 0
+        scan = out / f"scan.{fmt}"
+        if fmt == "json":
+            doc = json.loads(scan.read_text())
+            doc["counts"][::7] = [-c for c in doc["counts"][::7]]
+            doc["sigma"] = [math.sqrt(max(c, 1.0)) for c in doc["counts"]]
+            scan.write_text(json.dumps(doc))
+        else:
+            lines = scan.read_text().splitlines()
+            start = lines.index("tau2_ps,probability_model,counts,sigma") + 1
+            for k in range(start, len(lines), 7):
+                tau2, prob, count, _ = lines[k].split(",")
+                lines[k] = f"{tau2},{prob},{-float(count)!r},1.0"
+            scan.write_text("\n".join(lines) + "\n")
+        rc = main(["--scenario", scenario, "--out", str(out), "--format", fmt,
+                   "fit"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "counts must not be negative" in err
+        assert "Traceback" not in err
+        assert not (out / "fit.json").exists()
 
     def test_non_uniform_scan_is_a_numeric_failure(self, tmp_path, capsys):
         # Spectral seeding (fit.m null) needs a uniform grid; a scan file on

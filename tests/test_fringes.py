@@ -17,7 +17,7 @@ from hombeat.fringes import (
     synth_scan,
 )
 from hombeat.hom import fringe_probability, fringe_scan
-from hombeat.lm import LMOptions, _fd_jacobian, levenberg_marquardt
+from hombeat.lm import LMOptions, LMResult, _fd_jacobian, levenberg_marquardt
 from hombeat.reference import fringe_params_from_reference
 
 from conftest import BENCH_DELAYS_PS, SCAN_DELAYS_PS
@@ -127,35 +127,32 @@ class TestParamsValidation:
 class TestFringeScanValidation:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            FringeScan(np.zeros(4), np.zeros(3), np.zeros(4))
+            FringeScan(np.zeros(4), np.zeros(3))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            FringeScan(np.array([0.0, np.nan]), np.zeros(2), np.zeros(2))
-
-    def test_rejects_negative_uncertainty(self):
-        with pytest.raises(ValueError):
-            FringeScan(np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
+            FringeScan(np.array([0.0, np.nan]), np.zeros(2))
 
     def test_rejects_negative_counts_per_point(self):
         with pytest.raises(ValueError, match="counts_per_point"):
-            FringeScan(np.zeros(2), np.ones(2), np.ones(2), -1)
+            FringeScan(np.zeros(2), np.ones(2), -1)
 
-    def test_counts_mode_enforces_sqrt_uncertainty(self):
-        values = np.array([400.0, 0.0])
-        good = np.array([20.0, 1.0])  # one-count floor on the empty bin
-        FringeScan(np.array([0.0, 0.1]), values, good, 1000)
-        with pytest.raises(ValueError, match="sqrt"):
-            FringeScan(np.array([0.0, 0.1]), values, np.array([20.0, 0.0]),
-                       1000)
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="counts must not be negative"):
+            FringeScan(np.array([0.0, 0.1]), np.array([400.0, -1.0]), 1000)
+
+    def test_uncertainties_are_derived(self):
+        # sqrt(count) with a one-count floor on the empty bin; zeros when
+        # noiseless.
+        counted = FringeScan(np.array([0.0, 0.1]), np.array([400.0, 0.0]), 1000)
+        assert np.array_equal(counted.uncertainties, [20.0, 1.0])
+        flat = FringeScan(np.array([0.0, 0.1]), np.array([0.4, 0.9]))
+        assert np.array_equal(flat.uncertainties, [0.0, 0.0])
 
     def test_probability_accessors_normalize_counts(self):
-        scan = FringeScan(np.array([0.0, 0.1]), np.array([400.0, 900.0]),
-                          np.array([20.0, 30.0]), 1000)
+        scan = FringeScan(np.array([0.0, 0.1]), np.array([400.0, 900.0]), 1000)
         assert np.allclose(scan.probabilities(), [0.4, 0.9])
-        assert np.allclose(scan.probability_sigmas(), [0.02, 0.03])
-        flat = FringeScan(np.array([0.0, 0.1]), np.array([0.4, 0.9]),
-                          np.zeros(2))
+        flat = FringeScan(np.array([0.0, 0.1]), np.array([0.4, 0.9]))
         assert np.array_equal(flat.probabilities(), flat.values)
 
 
@@ -254,7 +251,7 @@ class TestSeedGuess:
 
     def test_needs_uniform_grid(self):
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-        scan = FringeScan(t, np.full(10, 0.6), np.zeros(10))
+        scan = FringeScan(t, np.full(10, 0.6))
         with pytest.raises(ValueError, match="uniform"):
             seed_guess(scan, 2)
 
@@ -382,6 +379,30 @@ class TestFitFringeScan:
             "detuning_thz_1", "amplitude_1", "phase_deg_1")
         assert fit.seed_params.dimension_m == 4
         assert fit.n_iterations >= 1
+
+    def test_negative_detuning_is_folded_with_its_phase(self, monkeypatch):
+        # cos(2 pi (-mu) tau + phi) = cos(2 pi mu tau - phi): a pair the LM
+        # leaves at negative mu must come back at (|mu|, -phi), and the
+        # delta-method rows of mu and phi change sign with it.
+        theta = np.array([0.0, -4.0, 0.5, np.deg2rad(150.0)])
+        root = np.random.default_rng(3).normal(size=(4, 4))
+        internal_cov = root @ root.T
+        monkeypatch.setattr(fringes, "levenberg_marquardt", lambda *a: LMResult(
+            params=theta, cost=0.0, residual_norm=0.0, gradient_norm=0.0,
+            n_iterations=1, converged=True, message="stub",
+            covariance=internal_cov))
+        scan = synth_scan(single_pair(), -0.75, 0.75, 601, 0)
+        fit = fit_fringe_scan(scan, initial=single_pair())
+        (pair,) = fit.params.pairs
+        assert pair.detuning_thz == 4.0
+        assert pair.phase_deg == pytest.approx(210.0, abs=1e-12)
+        t = scan.tau2_ps
+        assert np.max(np.abs(fringe_model_eval(fit.params, t)
+                             - _theta_model(t, theta))) <= 1e-12
+        c = pair.amplitude
+        jac = np.diag([1.0, -1.0, c * (1.0 - c), -180.0 / np.pi])
+        assert np.allclose(fit.covariance, jac @ internal_cov @ jac.T,
+                           rtol=1e-12, atol=0.0)
 
     def test_pairs_come_back_in_ascending_detuning(self):
         truth = fringe_params_from_reference(0.37)

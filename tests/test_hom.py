@@ -14,7 +14,7 @@ from hombeat import (
     fringe_probability,
     fringe_scan,
 )
-from hombeat.spectral import JointSpectrumMap, default_grid
+from hombeat.spectral import JointSpectrumMap
 from hombeat.units import C_NM_PER_PS
 
 
@@ -35,11 +35,14 @@ def _math_erf_everywhere(x):
     return np.frompyfunc(math.erf, 1, 1)(x).astype(float)
 
 
-def _cell_edges(grid):
+def _cell_edges(model, n_points):
     """Wavelength samples, their step, and each cell's low and high
-    frequency edge."""
-    lam = np.linspace(C_NM_PER_PS / grid.max_thz, C_NM_PER_PS / grid.min_thz,
-                      grid.n_points)
+    frequency edge, on axes spanning the degenerate frequency +- 5.5
+    single-photon standard deviations."""
+    nu0 = model.center_frequency_thz
+    half = 5.5 * model.sigma_single_thz
+    lam = np.linspace(C_NM_PER_PS / (nu0 + half), C_NM_PER_PS / (nu0 - half),
+                      n_points)
     step = lam[1] - lam[0]
     edges = np.concatenate([[lam[0] - 0.5 * step],
                             0.5 * (lam[:-1] + lam[1:]),
@@ -50,16 +53,16 @@ def _cell_edges(grid):
     return lam, step, lo, hi
 
 
-def _corner_z(model, grid):
+def _corner_z(model, n_points):
     """z = nu1 + nu2 - zp at the four corners of every cell, as the dense
     oracle evaluates them."""
-    _, _, lo, hi = _cell_edges(grid)
+    _, _, lo, hi = _cell_edges(model, n_points)
     zp = model.sum_frequency_thz
     return [a[:, None] + b[None, :] - zp
             for a in (lo, hi) for b in (lo, hi)]
 
 
-def _dense_cell_map(model, grid, detuning_factor):
+def _dense_cell_map(model, n_points, detuning_factor):
     """Bit-level oracle for the map: the dense cell integral.
 
     T's full formula (exp and erf) at all four corners of every cell, each
@@ -68,7 +71,7 @@ def _dense_cell_map(model, grid, detuning_factor):
     """
     sig1 = model.sigma_single_thz
     sig_p = model.pump_sigma_thz
-    lam, step, lo, hi = _cell_edges(grid)
+    lam, step, lo, hi = _cell_edges(model, n_points)
 
     def T(z):
         gz = np.exp(-z * z / (2.0 * sig_p**2))
@@ -326,17 +329,16 @@ class TestMapAgainstDenseOracle:
     @pytest.mark.parametrize("pump_fwhm_thz", (1e-6, 0.001, 0.5, 5.0))
     def test_same_bits_as_dense(self, pump_fwhm_thz, n_points, tau1):
         model = BiphotonSpectrumModel(pump_fwhm_thz=pump_fwhm_thz)
-        grid = default_grid(model, n_points=n_points)
         if tau1 is None:
-            got = hom.jsi_map(model, grid)
-            want = _dense_cell_map(model, grid, lambda d: np.ones_like(d))
+            got = hom.jsi_map(model, n_points)
+            want = _dense_cell_map(model, n_points, lambda d: np.ones_like(d))
         else:
-            got = coincidence_spectrum(model, tau1, grid)
+            got = coincidence_spectrum(model, tau1, n_points)
             want = _dense_cell_map(
-                model, grid,
+                model, n_points,
                 lambda d: 0.5 * (1.0 - np.cos(2.0 * np.pi * d * tau1)))
         reach = hom._PUMP_REACH * model.pump_sigma_thz
-        corners = _corner_z(model, grid)
+        corners = _corner_z(model, n_points)
         above = np.logical_and.reduce([z >= reach for z in corners])
         below = np.logical_and.reduce([z <= -reach for z in corners])
         band = ~(above | below)
@@ -352,7 +354,7 @@ class TestMapAgainstDenseOracle:
         # At a level equal to a corner's z, or one float either side of it,
         # the searchsorted estimate in _first_column is often off by one
         # column; the loop must land on the float comparison itself.
-        _, _, lo, hi = _cell_edges(default_grid(model, n_points=32))
+        _, _, lo, hi = _cell_edges(model, 32)
         nu_edges = np.append(hi, lo[-1])
         zp = model.sum_frequency_thz
         z = (nu_edges[:, None] + nu_edges[None, :] - zp).ravel()

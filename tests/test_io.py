@@ -28,12 +28,7 @@ from hombeat.io import (
 )
 from hombeat.hom import jsi_map
 from hombeat.reference import fringe_params_from_reference
-from hombeat.spectral import (
-    BiphotonSpectrumModel,
-    FrequencyGrid,
-    JointSpectrumMap,
-    default_grid,
-)
+from hombeat.spectral import BiphotonSpectrumModel, JointSpectrumMap
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +60,7 @@ def module_dm():
 @pytest.fixture(scope="module")
 def small_map():
     model = BiphotonSpectrumModel(pump_fwhm_thz=1.0)
-    grid = default_grid(model, n_points=24)
-    return jsi_map(model, grid)
+    return jsi_map(model, n_points=24)
 
 
 class TestScanCsv:
@@ -119,7 +113,7 @@ class TestScanCsv:
         n = 5
         tau2 = np.sort(rng.uniform(-5.0, 5.0, n))
         probs = rng.uniform(0.0, 1.0, n)
-        scan = FringeScan(tau2, probs, np.zeros(n))
+        scan = FringeScan(tau2, probs)
         path = str(tmp_path_factory.mktemp("rt") / "s.csv")
         write_scan_csv(scan, probs, path)
         loaded, model_col = read_scan(path)

@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 from hombeat import (
     BiphotonSpectrumModel,
     coincidence_spectrum,
-    default_grid,
     detuning_density,
 )
 from hombeat.hom import jsi_map
-from hombeat.spectral import FrequencyGrid
 from hombeat.units import C_NM_PER_PS
 
 
@@ -77,12 +75,6 @@ class TestJsiEval:
         z = map_.intensity
         assert z[off > 0.5].max() < 1e-8 * z.max()
 
-    def test_nonfinite_input_rejected(self, model):
-        with pytest.raises(ValueError):
-            jsi_map(model, FrequencyGrid(float("nan"), 400.0, 64))
-        with pytest.raises(ValueError):
-            jsi_map(model, FrequencyGrid(-400.0, 1140.0, 64))
-
     def test_cw_pointwise_limit_rejected(self):
         zero_pump = BiphotonSpectrumModel(pump_fwhm_thz=0.0)
         with pytest.raises(ValueError):
@@ -92,17 +84,16 @@ class TestJsiEval:
 class TestNormalization:
     def test_detuning_density_unit_integral(self, model):
         # The CW-limit 2D integral reduces to the detuning marginal; the
-        # composite trapezoid over the default grid's detuning extent must
-        # give 1 within 1e-6 and be converged on the default point count.
-        grid = default_grid(model)
-        half = grid.max_thz - grid.min_thz
+        # composite trapezoid over the map's detuning extent, twice its
+        # +-5.5 sigma_1 span, must give 1 within 1e-6 and be converged on the
+        # default point count.
+        half = 11.0 * model.sigma_single_thz
         d = np.linspace(-half, half, 512)
         val = np.trapezoid(detuning_density(model, d), d)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_quadrature_converged_on_default_grid(self, model):
-        grid = default_grid(model)
-        half = grid.max_thz - grid.min_thz
+        half = 11.0 * model.sigma_single_thz
         vals = []
         for n in (512, 1024):
             d = np.linspace(-half, half, n)
@@ -164,24 +155,27 @@ class TestMarginalBandwidth:
 
 
 class TestGrid:
+    """The map's axes, which the model and the point count alone set."""
+
     def test_default_span_and_uniformity(self, model):
-        grid = default_grid(model)
-        assert grid.n_points == 512
+        map_ = jsi_map(model)
+        lam = map_.signal_nm
+        assert lam.size == 512
+        assert np.allclose(np.diff(lam), lam[1] - lam[0], rtol=0, atol=1e-9)
         nu0 = model.center_frequency_thz
-        assert grid.min_thz < nu0 - 4.0 * model.sigma_single_thz
-        assert grid.max_thz > nu0 + 4.0 * model.sigma_single_thz
+        assert C_NM_PER_PS / lam[-1] < nu0 - 4.0 * model.sigma_single_thz
+        assert C_NM_PER_PS / lam[0] > nu0 + 4.0 * model.sigma_single_thz
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid(300.0, 400.0, 8)
+    def test_too_few_points_rejected(self, model):
+        with pytest.raises(ValueError, match="at least 16 points"):
+            jsi_map(model, n_points=8)
 
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid(400.0, 300.0, 64)
-
-    def test_narrow_span_rejected(self, model):
-        with pytest.raises(ValueError):
-            default_grid(model, span_sigmas=2.0)
+    def test_span_reaching_zero_frequency_rejected(self):
+        # +-5.5 sigma_1 of a 400 nm marginal at 810 nm reaches below 0 THz.
+        broad = BiphotonSpectrumModel(marginal_fwhm_nm=400.0)
+        for build in (jsi_map, lambda m: coincidence_spectrum(m, 0.27)):
+            with pytest.raises(ValueError, match="must be positive"):
+                build(broad)
 
 
 class TestDetuningDensity:
