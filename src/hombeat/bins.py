@@ -165,8 +165,11 @@ def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
 # peak, under the rounding of the profile.
 _KERNEL_REACH = 8.0
 
+# Points of the detuning profile, across +-1.02 times the widest detuning.
+_PROFILE_POINTS = 1024
 
-def detuning_profile(map_: JointSpectrumMap, n_points: int = 1024):
+
+def detuning_profile(map_: JointSpectrumMap):
     """Mass-weighted kernel density profile of the map over detuning.
 
     Cell masses are spread with a Gaussian kernel whose bandwidth h is twice
@@ -176,19 +179,18 @@ def detuning_profile(map_: JointSpectrumMap, n_points: int = 1024):
     within 8 h of it, where the kernel has fallen below exp(-32) of its
     peak. Returns (detunings_thz, density, bandwidth_thz).
     """
-    masses = map_.cell_masses().ravel()
+    masses = map_.cell_masses()
     if masses.size == 0 or masses.max() <= 0:
         raise ExtractionError("map carries no intensity mass")
-    nu_s = C_NM_PER_PS / map_.signal_nm
-    nu_i = C_NM_PER_PS / map_.idler_nm
-    d = (nu_s[:, None] - nu_i[None, :]).ravel()
+    d = (C_NM_PER_PS / map_.signal_nm[map_.rows]
+         - C_NM_PER_PS / map_.idler_nm[map_.cols])
     keep = masses > 1e-12 * masses.max()
     d, masses = d[keep], masses[keep]
 
     dmax = np.abs(d).max() * 1.02
     if dmax == 0:
         raise ExtractionError("map carries no mass off zero detuning")
-    x = np.linspace(-dmax, dmax, n_points)
+    x = np.linspace(-dmax, dmax, _PROFILE_POINTS)
     dx = x[1] - x[0]
     spacings = np.diff(np.sort(d))
     spacings = spacings[spacings > 1e-9]
@@ -198,17 +200,17 @@ def detuning_profile(map_: JointSpectrumMap, n_points: int = 1024):
     # Each cell reaches the profile points within `reach` steps of its
     # nearest one. The loop runs over those offsets, so memory stays
     # O(cells); points past either end are dropped, not clipped, so no
-    # mass lands twice. No offset beyond n_points - 1 can land inside.
-    reach = min(int(np.ceil(_KERNEL_REACH * h / dx)) + 1, n_points - 1)
+    # mass lands twice. No offset beyond _PROFILE_POINTS - 1 can land inside.
+    reach = min(int(np.ceil(_KERNEL_REACH * h / dx)) + 1, _PROFILE_POINTS - 1)
     nearest = np.rint((d - x[0]) / dx).astype(int)
-    y = np.zeros(n_points)
+    y = np.zeros(_PROFILE_POINTS)
     for k in range(-reach, reach + 1):
         j = nearest + k
-        inside = (j >= 0) & (j < n_points)
+        inside = (j >= 0) & (j < _PROFILE_POINTS)
         j = j[inside]
         y += np.bincount(j, masses[inside]
                          * np.exp(-0.5 * ((x[j] - d[inside]) / h) ** 2),
-                         minlength=n_points)
+                         minlength=_PROFILE_POINTS)
     y /= h * np.sqrt(2.0 * np.pi)
     return x, y, h
 
@@ -314,10 +316,11 @@ def extract_bins_from_map(map_: JointSpectrumMap,
     matched = [m for m, k in zip(matched, keep) if k]
 
     # Degenerate frequency from the mass-weighted mean sum frequency, taken
-    # over the two marginals so no second cell-mass array is built.
+    # over the two marginals, each summed from the cells.
     ws, wi = map_.cell_widths()
-    signal_mass = ws * (map_.intensity @ wi)
-    idler_mass = wi * (ws @ map_.intensity)
+    rows, cols, values = map_.rows, map_.cols, map_.values
+    signal_mass = ws * np.bincount(rows, values * wi[cols], minlength=ws.size)
+    idler_mass = wi * np.bincount(cols, ws[rows] * values, minlength=wi.size)
     nu0 = float(0.5 * (signal_mass @ (C_NM_PER_PS / map_.signal_nm)
                        + idler_mass @ (C_NM_PER_PS / map_.idler_nm))
                 / signal_mass.sum())

@@ -94,6 +94,11 @@ def _prepare(args) -> Scenario:
     return scenario
 
 
+def _bin_pair(p, **extra) -> dict:
+    return {"index_j": p.index_j, "detuning_thz": float(p.detuning_thz),
+            "weight": float(p.weight), "balance": float(p.balance), **extra}
+
+
 def _extraction_sidecar(scenario: Scenario, extraction, predicted) -> dict:
     state = extraction.state
     return {
@@ -102,28 +107,12 @@ def _extraction_sidecar(scenario: Scenario, extraction, predicted) -> dict:
         "threshold": BIN_THRESHOLD,
         "center_wavelength_nm": float(state.center_wavelength_nm),
         "dimension_m": state.dimension_m,
-        "pairs": [
-            {
-                "index_j": p.index_j,
-                "detuning_thz": float(p.detuning_thz),
-                "weight": float(p.weight),
-                "balance": float(p.balance),
-                "lobe_fwhm_nm": float(extraction.lobe_fwhm_nm[k]),
-            }
-            for k, p in enumerate(state.pairs)
-        ],
+        "pairs": [_bin_pair(p, lobe_fwhm_nm=float(fwhm)) for p, fwhm
+                  in zip(state.pairs, extraction.lobe_fwhm_nm)],
         "kde_bandwidth_thz": float(extraction.kde_bandwidth_thz),
         "predicted": {
             "dimension_m": predicted.dimension_m,
-            "pairs": [
-                {
-                    "index_j": p.index_j,
-                    "detuning_thz": float(p.detuning_thz),
-                    "weight": float(p.weight),
-                    "balance": float(p.balance),
-                }
-                for p in predicted.pairs
-            ],
+            "pairs": [_bin_pair(p) for p in predicted.pairs],
         },
     }
 

@@ -80,9 +80,6 @@ class RestrictedDensityMatrix:
     def dimension_m(self) -> int:
         return self.entries.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
     def populations(self) -> np.ndarray:
         return self.entries.real.diagonal().copy()
 
@@ -217,10 +214,9 @@ class EofComparison:
     note: str
 
 
-def eof_reference_comparison(report: EntanglementReport,
-                             dimension_m: int | None = None) -> EofComparison:
+def eof_reference_comparison(report: EntanglementReport) -> EofComparison:
     """Compare a computed bound against the benchmark EoF value for m."""
-    m = report.dimension_m if dimension_m is None else int(dimension_m)
+    m = report.dimension_m
     if m not in EOF_EBITS:
         known = ", ".join(str(k) for k in sorted(EOF_EBITS))
         raise ValueError(f"no benchmark EoF value for m={m}; have {known}")

@@ -142,9 +142,11 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
     near-CW pump), while the slowly varying envelope and the caller-supplied
     detuning factor are evaluated at cell centers.
 
-    Only the pump band is built (``_pump_cell_mass``); cells beyond it,
-    whose pump mass is exactly 0, and band cells whose mass is not positive
-    read +0.0. Every other cell keeps the bits of the dense cell integral.
+    Only the pump band is built (``_pump_cell_mass``), and the map stores
+    just its cells of positive pump mass, in the band's row-major order;
+    cells beyond the band, whose pump mass is exactly 0, and band cells
+    whose mass is not positive read +0.0 in the dense view. Every stored
+    cell keeps the bits of the dense cell integral.
     """
     if n_points < 16:
         raise ValueError("grid needs at least 16 points per axis")
@@ -175,11 +177,9 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
     d = nu_c[i] - nu_c[j]
     norm = 1.0 / (2.0 * np.pi * sig_p * sig1)
     slow = norm * np.exp(-d * d / (8.0 * sig1**2))
-    intensity = np.zeros((lam.size, lam.size))
-    intensity[i, j] = (pump_mass[live] * slow * detuning_factor(d)
-                       / (step * step))
-    return JointSpectrumMap(signal_nm=lam, idler_nm=lam.copy(),
-                            intensity=intensity)
+    return JointSpectrumMap(
+        signal_nm=lam, idler_nm=lam.copy(), rows=i, cols=j,
+        values=pump_mass[live] * slow * detuning_factor(d) / (step * step))
 
 
 def jsi_map(model: BiphotonSpectrumModel,

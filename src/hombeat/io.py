@@ -5,11 +5,11 @@ round-trip) so identical inputs produce byte-identical files; nothing here
 writes timestamps except the run bundle, which is explicitly excluded from
 the byte-determinism contract.
 
-The map writers skip json.dumps and format only live cells, those not +0.0
-(none beyond the pump band): each row starts from a per-idler +0.0 template
-("{idler},0.0" in CSV, "0.0" in JSON), takes the repr of each distinct live
-value once, and is joined and written on its own. TestMapWriterOracles in
-tests/test_io.py holds them byte-equal to json.dumps and a per-cell CSV loop.
+The map writers skip json.dumps and never read the dense view: each row
+starts from a per-idler +0.0 template ("{idler},0.0" in CSV, "0.0" in JSON)
+and takes the repr of each distinct live stored value (not +0.0) once, then
+is joined and written on its own. TestMapWriterOracles in tests/test_io.py
+holds them byte-equal to json.dumps and a per-cell CSV loop.
 """
 
 from __future__ import annotations
@@ -53,17 +53,16 @@ class IOFormatError(RuntimeError):
     """An input file does not match the expected format."""
 
 
-def _map_rows(values, heads: list[str]) -> list[list[str]]:
-    """Cell texts of each row of a 2D array, heads[j] + repr(value): the
-    +0.0 template, shared by rows with no live cell (-0.0, NaN, inf live)."""
-    flat = np.asarray(values, dtype=float).ravel()
-    live = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-    distinct, inverse = np.unique(flat[live], return_inverse=True)
+def _map_rows(map_, heads: list[str]) -> list[list[str]]:
+    """Cell texts of each map row, heads[j] + repr(value), from its cells:
+    the +0.0 template, shared by rows with no live cell (-0.0, NaN, inf live)."""
+    live = (map_.values != 0.0) | np.signbit(map_.values)
+    distinct, inverse = np.unique(map_.values[live], return_inverse=True)
     texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
     head = np.array(heads, dtype=object)
-    row, col = np.divmod(live, len(heads))
+    row, col = map_.rows[live], map_.cols[live]
     template = [f"{h}0.0" for h in heads]
-    rows = [template] * len(values)
+    rows = [template] * len(map_.signal_nm)
     for i, j, text in zip(row.tolist(), col.tolist(),
                           (head[col] + texts[inverse]).tolist()):
         if rows[i] is template:
@@ -73,7 +72,7 @@ def _map_rows(values, heads: list[str]) -> list[list[str]]:
 
 
 def _reprs(values) -> list[str]:
-    return _map_rows(np.reshape(values, (1, -1)), [""] * np.size(values))[0]
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def _json_array(items: list[str], depth: int = 1) -> str:
@@ -103,17 +102,17 @@ def write_map_csv(map_: JointSpectrumMap, path: str) -> None:
     heads = [f"{v}," for v in _reprs(map_.idler_nm)]
     leads = [f"\n{s}," for s in _reprs(map_.signal_nm)]
     rows = (lead + lead.join(cells)
-            for lead, cells in zip(leads, _map_rows(map_.intensity, heads))
+            for lead, cells in zip(leads, _map_rows(map_, heads))
             if cells)
     header = f"# schema_version={SCHEMA_VERSION}\nsignal_nm,idler_nm,intensity"
     _write_text(path, chain([header], rows, ["\n"]))
 
 
 def write_map_json(map_: JointSpectrumMap, path: str) -> None:
-    arrays = (map_.idler_nm, map_.intensity, map_.signal_nm)
+    arrays = (map_.idler_nm, map_.values, map_.signal_nm)
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("Out of range float values are not JSON compliant")
-    rows = [_json_array(r, 2) for r in _map_rows(map_.intensity, [""] * len(map_.idler_nm))]
+    rows = [_json_array(r, 2) for r in _map_rows(map_, [""] * len(map_.idler_nm))]
     # The json.dumps(indent=2, sort_keys=True) text, the intensity row by row.
     seps = ["[\n    "] + [",\n    "] * (len(rows) - 1)
     _write_text(path, chain(
@@ -166,6 +165,8 @@ def _scan_from_columns(tau2, model_probs, counts, sigma, counts_per_point):
     scan = FringeScan(tau2_ps=tau2, values=counts,
                       counts_per_point=counts_per_point)
     sigma = np.asarray(sigma, dtype=float)
+    if model_probs.shape != scan.values.shape:
+        raise ValueError("probability_model must match tau2_ps in length")
     if sigma.shape != scan.values.shape or not np.allclose(
             sigma, scan.uncertainties, rtol=0, atol=1e-9):
         raise ValueError("sigma must be sqrt(count) with a one-count floor")
@@ -253,6 +254,12 @@ def _read_scan_csv(path: str):
         raise IOFormatError(f"inconsistent scan data: {exc}") from exc
 
 
+def _pair_dicts(pairs) -> list[dict]:
+    return [{"weight": float(p.weight), "detuning_thz": float(p.detuning_thz),
+             "visibility": float(p.visibility), "phase_deg": float(p.phase_deg)}
+            for p in pairs]
+
+
 def fit_result_to_dict(fit: FitResult) -> dict:
     params = fit.params
     return {
@@ -263,27 +270,11 @@ def fit_result_to_dict(fit: FitResult) -> dict:
         "residual_norm": float(fit.residual_norm),
         "weights_supplied": fit.weights_supplied,
         "coherence_time_ps": float(params.coherence_time_ps),
-        "pairs": [
-            {
-                "weight": float(p.weight),
-                "detuning_thz": float(p.detuning_thz),
-                "visibility": float(p.visibility),
-                "phase_deg": float(p.phase_deg),
-            }
-            for p in params.pairs
-        ],
+        "pairs": _pair_dicts(params.pairs),
         "param_names": list(fit.param_names),
         "covariance": [[float(v) for v in row] for row in fit.covariance],
         "seed_coherence_time_ps": float(fit.seed_params.coherence_time_ps),
-        "seed_pairs": [
-            {
-                "weight": float(p.weight),
-                "detuning_thz": float(p.detuning_thz),
-                "visibility": float(p.visibility),
-                "phase_deg": float(p.phase_deg),
-            }
-            for p in fit.seed_params.pairs
-        ],
+        "seed_pairs": _pair_dicts(fit.seed_params.pairs),
     }
 
 

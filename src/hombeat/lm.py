@@ -15,14 +15,16 @@ import numpy as np
 
 __all__ = ["LMOptions", "LMResult", "levenberg_marquardt"]
 
-# Damping at the start (see above) and past which the solver gives up.
+# Damping at the start (see above) and past which the solver gives up, and
+# the relative step of the central-difference Jacobian.
 LAMBDA_INIT = 0.0
 LAMBDA_MAX = 1e12
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class LMOptions:
-    """Termination controls and the finite-difference step.
+    """Termination controls.
 
     The solver stops when the infinity norm of the gradient drops below
     ``gradient_tol``, when a trial step (accepted or not) changes the cost
@@ -33,7 +35,6 @@ class LMOptions:
     max_iterations: int = 500
     gradient_tol: float = 1e-8
     cost_tol: float = 1e-10
-    fd_step: float = 1e-6
 
 
 @dataclass
@@ -131,7 +132,7 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
         n_res = r.size
 
         def jacobian(xk):
-            return _fd_jacobian(residual, xk, n_res, opt.fd_step)
+            return _fd_jacobian(residual, xk, n_res, FD_STEP)
     jac_x = None
 
     for _ in range(opt.max_iterations):

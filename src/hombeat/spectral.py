@@ -4,8 +4,9 @@ The source model is a product of two Gaussians in ordinary frequency: a
 narrow pump factor in the sum frequency nu1+nu2 (energy conservation) and a
 broad phase-matching factor in the difference nu1-nu2. Everything downstream
 (coincidence spectra, fringe scans, bin prediction) integrates against this
-density. ``JointSpectrumMap`` holds a sampled wavelength-domain map, which
-``hombeat.hom`` builds on axes set by the model and the point count alone.
+density. ``JointSpectrumMap`` holds a sampled wavelength-domain map as its
+live cells, which ``hombeat.hom`` builds on axes set by the model and the
+point count alone; its dense ``intensity`` is a view made on request.
 """
 
 from __future__ import annotations
@@ -106,35 +107,51 @@ class BiphotonSpectrumModel:
 class JointSpectrumMap:
     """Sampled 2D intensity over (signal, idler) wavelength axes.
 
-    ``intensity[i, j]`` is the density (1/nm^2) at ``signal_nm[i]``,
-    ``idler_nm[j]``. Axes are strictly increasing.
+    The map holds only its live cells, in row-major order: ``values[k]`` is
+    the density (1/nm^2) at ``signal_nm[rows[k]]``, ``idler_nm[cols[k]]``,
+    and every other cell is +0.0. ``intensity`` is the dense view. Axes are
+    strictly increasing.
     """
 
     signal_nm: np.ndarray
     idler_nm: np.ndarray
-    intensity: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.signal_nm, dtype=float)
-        i = np.asarray(self.idler_nm, dtype=float)
-        z = np.asarray(self.intensity, dtype=float)
-        object.__setattr__(self, "signal_nm", s)
-        object.__setattr__(self, "idler_nm", i)
-        object.__setattr__(self, "intensity", z)
-        if z.shape != (s.size, i.size):
-            raise ValueError("intensity shape must match axis lengths")
+        for name in ("signal_nm", "idler_nm", "rows", "cols", "values"):
+            dtype = np.intp if name in ("rows", "cols") else float
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+        s, i, r, c, v = (self.signal_nm, self.idler_nm, self.rows, self.cols,
+                         self.values)
         if np.any(np.diff(s) <= 0) or np.any(np.diff(i) <= 0):
             raise ValueError("wavelength axes must be strictly increasing")
-        if not np.all(np.isfinite(z)) or np.any(z < 0):
+        if not r.ndim == c.ndim == v.ndim == 1 or not r.size == c.size == v.size:
+            raise ValueError("rows, cols and values must be 1D of one length")
+        if np.any((r < 0) | (r >= s.size) | (c < 0) | (c >= i.size)):
+            raise ValueError("cell index outside the axes")
+        if np.any(np.diff(r * i.size + c) <= 0):
+            raise ValueError("cells must be unique and in row-major order")
+        if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise ValueError("intensity entries must be finite and non-negative")
+
+    @property
+    def intensity(self) -> np.ndarray:
+        """Read-only dense view: the cells scattered into +0.0 elsewhere."""
+        out = np.zeros((self.signal_nm.size, self.idler_nm.size))
+        out[self.rows, self.cols] = self.values
+        out.flags.writeable = False
+        return out
 
     def cell_widths(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample cell widths (nm) for mass integration, midpoint rule."""
         return _axis_widths(self.signal_nm), _axis_widths(self.idler_nm)
 
     def cell_masses(self) -> np.ndarray:
+        """Mass of each stored cell, aligned with ``values``."""
         ws, wi = self.cell_widths()
-        return self.intensity * ws[:, None] * wi[None, :]
+        return self.values * ws[self.rows] * wi[self.cols]
 
 
 def _axis_widths(axis: np.ndarray) -> np.ndarray:

@@ -61,6 +61,15 @@ def noiseless_fits(noiseless_scans, predicted_states):
     return fits
 
 
+def live_cells(intensity) -> dict:
+    """The cell form of a dense map, for tests that build one densely: rows,
+    cols and values of every cell that is not +0.0 (-0.0, NaN and inf stay
+    live, as in the map writers), in row-major order."""
+    z = np.asarray(intensity, dtype=float)
+    rows, cols = np.nonzero((z != 0.0) | np.signbit(z))
+    return {"rows": rows, "cols": cols, "values": z[rows, cols]}
+
+
 def detunings(state_like) -> np.ndarray:
     pairs = getattr(state_like, "pairs", state_like)
     return np.array([p.detuning_thz for p in pairs])

@@ -17,7 +17,7 @@ from hombeat.hom import coincidence_spectrum, jsi_map
 from hombeat.spectral import JointSpectrumMap, detuning_density
 from hombeat.units import C_NM_PER_PS
 
-from conftest import BENCH_DELAYS_PS, detunings
+from conftest import BENCH_DELAYS_PS, detunings, live_cells
 
 PREDICTED_DETUNINGS = {
     0.12: [4.0140],
@@ -53,7 +53,8 @@ def _dense_profile(map_, n_points=1024):
     Same cells, grid and bandwidth as the package, but with no kernel reach:
     the Gaussian sum runs over all occupied cells at each profile point.
     """
-    masses = map_.cell_masses().ravel()
+    ws, wi = map_.cell_widths()
+    masses = (map_.intensity * ws[:, None] * wi[None, :]).ravel()
     nu_s = C_NM_PER_PS / map_.signal_nm
     nu_i = C_NM_PER_PS / map_.idler_nm
     d = (nu_s[:, None] - nu_i[None, :]).ravel()
@@ -192,6 +193,22 @@ class TestPredictBins:
 
 
 class TestExtraction:
+    def test_center_from_cells_matches_dense_marginals(self, spectrum_maps):
+        # A row-dependent weight breaks the exchange symmetry, so the two
+        # marginals differ and each must be summed over its own index.
+        m = spectrum_maps[0.27]
+        map_ = JointSpectrumMap(
+            signal_nm=m.signal_nm, idler_nm=m.idler_nm, rows=m.rows,
+            cols=m.cols, values=m.values * (1.0 + m.rows / m.signal_nm.size))
+        ws, wi = map_.cell_widths()
+        z = map_.intensity
+        signal_mass, idler_mass = ws * (z @ wi), wi * (ws @ z)
+        nu0 = 0.5 * (signal_mass @ (C_NM_PER_PS / map_.signal_nm)
+                     + idler_mass @ (C_NM_PER_PS / map_.idler_nm))
+        nu0 /= signal_mass.sum()
+        got = extract_bins_from_map(map_).state.center_wavelength_nm
+        assert got == pytest.approx(C_NM_PER_PS / nu0, rel=1e-13)
+
     @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
     def test_detunings_are_stable(self, extractions, tau1):
         assert np.allclose(detunings(extractions[tau1].state),
@@ -257,7 +274,7 @@ class TestExtraction:
         blob_neg = np.exp(-0.5 * ((d + 1.0) / 0.8) ** 2)
         pump = np.exp(-0.5 * ((s - s0) / 0.5) ** 2)
         map_ = JointSpectrumMap(signal_nm=lam, idler_nm=lam,
-                                intensity=(blob_pos + blob_neg) * pump)
+                                **live_cells((blob_pos + blob_neg) * pump))
         with pytest.raises(ExtractionError, match="mirror partner"):
             extract_bins_from_map(map_)
 
@@ -292,7 +309,7 @@ class TestDetuningProfile:
         # profile ends, so indices past the ends must be dropped.
         lam = np.linspace(800.0, 820.0, 64)
         map_ = JointSpectrumMap(signal_nm=lam, idler_nm=lam,
-                                intensity=np.ones((64, 64)))
+                                **live_cells(np.ones((64, 64))))
         x, _, h = detuning_profile(map_)
         nu = C_NM_PER_PS / lam
         assert x[-1] - (nu[0] - nu[-1]) < 8.0 * h
@@ -307,10 +324,23 @@ class TestDetuningProfile:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_extraction_memory_is_set_by_the_cells(self, spectrum_maps):
+        # The 512-point map stores about 1,200 cells; a 512 x 512 float
+        # array alone is 2 MiB, and a prelude over the whole grid peaks at
+        # 4.3 MiB. Extraction from the cells peaks near 0.09 MiB.
+        extract_bins_from_map(spectrum_maps[0.27])
+        tracemalloc.start()
+        try:
+            extract_bins_from_map(spectrum_maps[0.27])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2**20
+
     def test_map_without_detuning_spread_is_rejected(self):
         lam = np.array([800.0, 801.0])
         map_ = JointSpectrumMap(signal_nm=lam, idler_nm=lam,
-                                intensity=np.eye(2))
+                                **live_cells(np.eye(2)))
         with pytest.raises(ExtractionError, match="zero detuning"):
             extract_bins_from_map(map_)
 

@@ -189,6 +189,23 @@ class TestFitCommand:
         assert "Traceback" not in err
         assert not (out / "fit.json").exists()
 
+    def test_short_model_column_rejected(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "run"
+        assert main(["--scenario", scenario, "--out", str(out), "--format",
+                     "json", "scan"]) == 0
+        scan = out / "scan.json"
+        doc = json.loads(scan.read_text())
+        doc["probability_model"] = doc["probability_model"][:1]
+        scan.write_text(json.dumps(doc))
+        rc = main(["--scenario", scenario, "--out", str(out), "--format",
+                   "json", "fit"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "inconsistent scan data" in err
+        assert "Traceback" not in err
+        assert not (out / "fit.json").exists()
+
     def test_non_uniform_scan_is_a_numeric_failure(self, tmp_path, capsys):
         # Spectral seeding (fit.m null) needs a uniform grid; a scan file on
         # any other grid is a seeding failure, not a configuration error.

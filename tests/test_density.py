@@ -36,7 +36,7 @@ class TestConstruction:
         assert dm.dimension_m == m
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert abs(np.trace(rho).real - 1.0) < 1e-9
-        eigs = dm.eigenvalues()
+        eigs = np.linalg.eigvalsh(dm.entries)
         assert eigs.min() > -1e-9
         assert eigs.min() == pytest.approx(eigmin, abs=5e-4)
 
@@ -63,7 +63,7 @@ class TestConstruction:
 
     def test_unit_visibility_is_rank_one(self):
         dm = build_restricted_dm(FringeModelParams(0.47, uniform_pairs(1, 1.0)))
-        eigs = np.sort(dm.eigenvalues())
+        eigs = np.sort(np.linalg.eigvalsh(dm.entries))
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
         assert abs(eigs[0]) < 1e-8
         half = np.sqrt(0.5)
@@ -103,7 +103,7 @@ class TestConstruction:
             for j, w in enumerate(weights))
         dm = build_restricted_dm(FringeModelParams(1.0, pairs),
                                  balances=np.full(n_pairs, balance))
-        assert dm.eigenvalues().min() > -1e-9
+        assert np.linalg.eigvalsh(dm.entries).min() > -1e-9
 
     def test_matrix_validation_rules(self):
         labels = ("|w1,w2>", "|w2,w1>")
@@ -213,7 +213,8 @@ class TestReferenceComparison:
         assert "informational" in cmp_.note
 
     def test_unknown_dimension_rejected(self):
-        rep = eof_lower_bound(
-            build_restricted_dm(fringe_params_from_reference(0.12)))
+        rep = EntanglementReport(eof_lower_bound_ebits=0.5, b_value=0.5,
+                                 average_visibility=0.9, dimension_m=8,
+                                 mode="assumed-average", assumption_note="x")
         with pytest.raises(ValueError, match="m=8"):
-            eof_reference_comparison(rep, dimension_m=8)
+            eof_reference_comparison(rep)

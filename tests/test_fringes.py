@@ -17,7 +17,7 @@ from hombeat.fringes import (
     synth_scan,
 )
 from hombeat.hom import fringe_probability, fringe_scan
-from hombeat.lm import LMOptions, LMResult, _fd_jacobian, levenberg_marquardt
+from hombeat.lm import FD_STEP, LMResult, _fd_jacobian, levenberg_marquardt
 from hombeat.reference import fringe_params_from_reference
 
 from conftest import BENCH_DELAYS_PS, SCAN_DELAYS_PS
@@ -471,15 +471,14 @@ class TestAnalyticJacobian:
         t = scan.tau2_ps
         m = predicted_states[tau1].dimension_m
         fit = fit_fringe_scan(scan, m)
-        fd_step = LMOptions().fd_step
         for params in (seed_guess(scan, m), fit.params):
             theta = _pack(params)
             analytic = _theta_jacobian(t, theta)
             oracle = _fd_jacobian(lambda x: _theta_model(t, x), theta,
-                                  t.size, fd_step)
+                                  t.size, FD_STEP)
             # The central difference in log tau_c straddles the envelope's
             # kink at |2 tau2| = tau_c for samples within its step of it.
-            h = fd_step * max(1.0, abs(theta[0]))
+            h = FD_STEP * max(1.0, abs(theta[0]))
             far = np.abs(np.abs(2.0 * t / np.exp(theta[0])) - 1.0) > 2.0 * h
             assert np.count_nonzero(~far) <= 2
             gap = np.max(np.abs(analytic - oracle)[far], axis=0)

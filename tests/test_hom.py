@@ -17,6 +17,8 @@ from hombeat import (
 from hombeat.spectral import JointSpectrumMap
 from hombeat.units import C_NM_PER_PS
 
+from conftest import live_cells
+
 
 def _trapezoid_oracle(model, weight):
     """Trapezoid quadrature of detuning_density(d) * weight(d) over d.
@@ -93,7 +95,7 @@ def _dense_cell_map(model, n_points, detuning_factor):
     widths[:] = step
     intensity = np.maximum(mass, 0.0) / (widths[:, None] * widths[None, :])
     return JointSpectrumMap(signal_nm=lam, idler_nm=lam.copy(),
-                            intensity=intensity)
+                            **live_cells(intensity))
 
 
 def _same_bits(a, b, keys=("signal_nm", "idler_nm", "intensity")):
@@ -135,7 +137,8 @@ class TestCoincidenceSpectrum:
         # Two lobes about 810 nm; their wavelength separation follows
         # delta_lambda = lambda^2 * detuning / c with detuning near 3.9 THz.
         m = spectrum_maps[0.12]
-        profile = m.cell_masses().sum(axis=1)
+        profile = np.bincount(m.rows, m.cell_masses(),
+                              minlength=m.signal_nm.size)
         lam = m.signal_nm
         mid = np.searchsorted(lam, 810.0)
         lo = lam[np.argmax(profile[:mid])]
@@ -150,8 +153,8 @@ class TestCoincidenceSpectrum:
         assert np.array_equal(folded.intensity, straight.intensity)
 
     def test_memory_is_set_by_the_pump_band(self, model):
-        # The band holds about 1,200 of the 262,144 cells, so the 2 MB
-        # intensity array should be most of the peak.
+        # The band holds about 1,200 of the 262,144 cells, and the map
+        # stores only those (a 0.16 MiB peak); a dense array alone is 2 MiB.
         coincidence_spectrum(model, 0.27)
         tracemalloc.start()
         try:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BENCH_DELAYS_PS
+from conftest import BENCH_DELAYS_PS, live_cells
 
 from hombeat.density import build_restricted_dm, eof_lower_bound, eof_reference_comparison
 from hombeat.fringes import FringeScan, fit_fringe_scan, fringe_model_eval, synth_scan
@@ -210,6 +210,17 @@ class TestScanJson:
         with pytest.raises(IOFormatError, match="required fields"):
             read_scan(str(path))
 
+    def test_model_column_must_match_the_delays(self, tmp_path):
+        # Four delays with counts and sigma, but a one-entry model column.
+        counts = [500.0, 480.0, 510.0, 490.0]
+        path = tmp_path / "short_model.json"
+        path.write_text(json.dumps({
+            "counts_per_point": 1000, "tau2_ps": [0.0, 0.1, 0.2, 0.3],
+            "probability_model": [0.5], "counts": counts,
+            "sigma": [c ** 0.5 for c in counts]}))
+        with pytest.raises(IOFormatError, match="inconsistent scan data"):
+            read_scan(str(path))
+
     def test_counting_scan_without_counts(self, tmp_path):
         path = tmp_path / "nc.json"
         path.write_text(json.dumps({
@@ -362,7 +373,7 @@ class TestMapWriterOracles:
     def test_hand_built_map_keeps_every_repr(self, tmp_path):
         map_ = JointSpectrumMap(signal_nm=np.array([5e-324, 1e16]),
                                 idler_nm=np.array([-0.0, 1e-05, 1.0]),
-                                intensity=np.array(_HAND_VALUES))
+                                **live_cells(_HAND_VALUES))
         csv_text = _written(write_map_csv, map_, tmp_path / "map.csv")
         assert csv_text == _reference_map_csv(map_)
         assert "5e-324,-0.0,-0.0\n" in csv_text
@@ -376,7 +387,7 @@ class TestMapWriterOracles:
         intensity[1, 2] = bad
         map_ = SimpleNamespace(signal_nm=np.array([800.0, 801.0]),
                                idler_nm=np.array([810.0, 811.0, 812.0]),
-                               intensity=intensity)
+                               intensity=intensity, **live_cells(intensity))
         assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
             _reference_map_csv(map_))
         with pytest.raises(ValueError):
@@ -387,7 +398,8 @@ class TestMapWriterOracles:
     def test_non_finite_axis_rejected_in_json(self, tmp_path):
         map_ = SimpleNamespace(signal_nm=np.array([800.0, np.inf]),
                                idler_nm=np.array([810.0]),
-                               intensity=np.zeros((2, 1)))
+                               intensity=np.zeros((2, 1)),
+                               **live_cells(np.zeros((2, 1))))
         with pytest.raises(ValueError):
             write_map_json(map_, str(tmp_path / "map.json"))
 
@@ -401,8 +413,9 @@ class TestMapWriterOracles:
         def floats(n):
             return np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)),
                             dtype=float)
+        intensity = floats(rows * cols).reshape(rows, cols)
         map_ = SimpleNamespace(signal_nm=floats(rows), idler_nm=floats(cols),
-                               intensity=floats(rows * cols).reshape(rows, cols))
+                               intensity=intensity, **live_cells(intensity))
         assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
             _reference_map_csv(map_))
         try:

@@ -8,6 +8,7 @@ from hombeat import (
     detuning_density,
 )
 from hombeat.hom import jsi_map
+from hombeat.spectral import JointSpectrumMap
 from hombeat.units import C_NM_PER_PS
 
 
@@ -49,7 +50,8 @@ class TestJsiEval:
         # near-CW pump line crosses each cell along a different length.)
         map_ = jsi_map(model)
         step = map_.signal_nm[1] - map_.signal_nm[0]
-        marginal = map_.cell_masses().sum(axis=1)
+        marginal = np.bincount(map_.rows, map_.cell_masses(),
+                               minlength=map_.signal_nm.size)
         k = int(np.argmax(marginal))
         assert abs(map_.signal_nm[k] - 810.0) <= step
         assert np.all(np.diff(marginal[:k + 1]) >= 0)
@@ -152,6 +154,50 @@ class TestMarginalBandwidth:
     def test_broad_pump_broadens_marginal(self, model):
         broad = BiphotonSpectrumModel(pump_fwhm_thz=0.5)
         assert _marginal_bandwidth(broad) >= _marginal_bandwidth(model)
+
+
+_AXIS = np.array([800.0, 801.0, 802.0])
+_CELLS = {"rows": [0, 1, 2], "cols": [2, 1, 0], "values": [1.0, 2.0, 3.0]}
+
+
+class TestMapCells:
+    """A map is its live cells in row-major order, checked as it is built."""
+
+    def test_dense_view_scatters_the_cells(self):
+        map_ = JointSpectrumMap(signal_nm=_AXIS, idler_nm=_AXIS, **_CELLS)
+        assert np.array_equal(map_.intensity, np.fliplr(np.diag([1.0, 2.0, 3.0])))
+        assert not map_.intensity.flags.writeable
+        assert np.array_equal(map_.cell_masses(), [1.0, 2.0, 3.0])
+
+    def test_negative_zero_and_no_cells_are_accepted(self):
+        map_ = JointSpectrumMap(signal_nm=_AXIS, idler_nm=_AXIS,
+                                rows=[1], cols=[1], values=[-0.0])
+        assert np.signbit(map_.intensity[1, 1])
+        empty = JointSpectrumMap(signal_nm=_AXIS, idler_nm=_AXIS[:2],
+                                 rows=[], cols=[], values=[])
+        assert empty.intensity.shape == (3, 2) and not empty.intensity.any()
+
+    @pytest.mark.parametrize("change, match", [
+        ({"rows": [0, 1, 3]}, "outside"),
+        ({"cols": [2, 1, -1]}, "outside"),
+        ({"rows": [0, 0, 2], "cols": [1, 1, 0]}, "row-major"),  # duplicate
+        ({"rows": [0, 2, 1]}, "row-major"),  # rows out of order
+        ({"rows": [0, 0, 2], "cols": [2, 1, 0]}, "row-major"),  # columns
+        ({"rows": [0, 1]}, "one length"),
+        ({"values": [1.0, 2.0, 3.0, 4.0]}, "one length"),
+        ({"values": [[1.0, 2.0, 3.0]]}, "one length"),
+        ({"values": [1.0, -1e-300, 3.0]}, "non-negative"),
+        ({"values": [1.0, np.nan, 3.0]}, "finite"),
+        ({"values": [1.0, np.inf, 3.0]}, "finite"),
+    ])
+    def test_malformed_cells_rejected(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            JointSpectrumMap(signal_nm=_AXIS, idler_nm=_AXIS,
+                             **dict(_CELLS, **change))
+
+    def test_decreasing_axis_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JointSpectrumMap(signal_nm=_AXIS[::-1], idler_nm=_AXIS, **_CELLS)
 
 
 class TestGrid:
