@@ -1,11 +1,13 @@
 """Frequency-bin discretization: comb prediction and map extraction.
 
-A first-stage delay tau1 suppresses coincidences except near the
-anti-bunching comb, detunings d with (1 - cos(2 pi d tau1)) maximal. Each
-surviving comb lobe defines one pair of frequency bins at nu0 +- mu/2.
-This module predicts those bins from the source model, extracts them from
-a sampled 2D coincidence spectrum, and carries the small bookkeeping
-around bin states (coherence time).
+A first-stage delay tau1 leaves the anti-bunched spectrum
+2 rho(d) sin^2(pi d tau1), which vanishes at the comb zeros d = k/tau1.
+Each lobe between two zeros defines one pair of frequency bins at
+nu0 +- mu/2, mu its centroid. Prediction and extraction fill one lobe
+table (volume per side, first moment): from the source model by
+quadrature, or from a sampled 2D map whose cells are cut at the zeros of
+a tau1 read off the map itself. The module also carries the small
+bookkeeping around bin states (coherence time).
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import BiphotonSpectrumModel, JointSpectrumMap, detuning_density
-from .units import C_NM_PER_PS, FWHM_PER_SIGMA, frequency_to_wavelength
+from .units import C_NM_PER_PS, frequency_to_wavelength
 
 __all__ = [
     "FrequencyBinPair",
@@ -107,25 +108,22 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Bins extracted from a 2D map, with per-pair lobe widths."""
+    """Bins extracted from a 2D map, with per-pair lobe widths and tau1."""
 
     state: DiscreteState
     lobe_fwhm_nm: tuple[float, ...]
-    kde_bandwidth_thz: float
+    tau1_ps: float
 
 
 def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
                  threshold: float = 0.6) -> DiscreteState:
     """Predict the discrete bin state produced by a first-stage delay.
 
-    The anti-bunched spectral weight w(d) = g(d) (1 - cos(2 pi d tau1))
-    splits into lobes between consecutive zeros at d = k/tau1. Each lobe
-    with integrated weight at least ``threshold`` times the strongest one
-    becomes a bin pair; its detuning is the lobe centroid (the effective
-    oscillation frequency a fringe measurement sees, slightly below the
-    bare comb line (2k+1)/(2 tau1) because the envelope tilts the lobe).
-    Both factors of w are even in d, so each lobe's mirror at -d carries
-    the same weight and every pair has balance exactly 0.5.
+    Fills the lobe table from w(d) = g(d) (1 - cos(2 pi d tau1)). A lobe
+    centroid, the oscillation frequency a fringe measurement sees, sits
+    slightly below the bare comb line (2k+1)/(2 tau1), as the envelope
+    tilts the lobe. Both factors of w are even in d, so the two sides of a
+    lobe carry the same weight and every balance is exactly 0.5.
     """
     if not np.isfinite(tau1_ps):
         raise ValueError("tau1 must be finite")
@@ -150,199 +148,121 @@ def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
         vol += share
         moment += share * d
 
-    kept = vol >= threshold * vol.max()
-    centroids = (moment[kept] / vol[kept]).tolist()
-    weights = (vol[kept] / vol[kept].sum()).tolist()
-    pairs = tuple(
-        FrequencyBinPair(index_j=j + 1, detuning_thz=mu, weight=w, balance=0.5)
-        for j, (mu, w) in enumerate(zip(centroids, weights))
-    )
-    return DiscreteState(pairs=pairs,
-                         center_wavelength_nm=model.center_wavelength_nm)
+    return _lobe_state(0.5 * vol, 0.5 * vol, moment, threshold,
+                       model.center_wavelength_nm)
 
 
-# Beyond this many bandwidths the Gaussian kernel is below exp(-32) of its
-# peak, under the rounding of the profile.
-_KERNEL_REACH = 8.0
+def _lobe_state(vol_pos: np.ndarray, vol_neg: np.ndarray, moment: np.ndarray,
+                threshold: float, center_nm: float) -> DiscreteState:
+    """The bin state of a lobe table: per lobe k, between the comb zeros
+    k/tau1 and (k+1)/tau1, its volumes at positive and negative detuning
+    and the first moment of |d| over both.
 
-# Points of the detuning profile, across +-1.02 times the widest detuning.
-_PROFILE_POINTS = 1024
+    Each lobe of at least ``threshold`` times the largest volume becomes a
+    pair at its centroid, weighted by its share of the kept volume, with
+    its positive side's share as balance.
+    """
+    vol = vol_pos + vol_neg
+    kept = np.nonzero(vol >= threshold * vol.max())[0]
+    if np.any(vol_pos[kept] * vol_neg[kept] == 0):
+        raise ExtractionError("a kept lobe has no mirror partner: all its "
+                              "volume lies on one side of zero detuning")
+    vol = vol[kept]
+    table = zip((moment[kept] / vol).tolist(), (vol / vol.sum()).tolist(),
+                (vol_pos[kept] / vol).tolist())
+    pairs = tuple(FrequencyBinPair(j + 1, mu, w, b)
+                  for j, (mu, w, b) in enumerate(table))
+    return DiscreteState(pairs=pairs, center_wavelength_nm=center_nm)
+
+
+# The |detuning| histogram and its zero padding, whose FFT finds the dip,
+# and the delays of the direct transform across one FFT step either side.
+_HIST_BINS, _PAD, _REFINE_POINTS = 1024, 8, 25
+# A comb's transform dips to -1/2 at tau1 once G(tau1) is small.
+_DIP_LEVEL = -0.4
+# Frequency steps of the map's axes that one lobe, 1/tau1 wide, must span.
+_RESOLUTION_STEPS = 5
 
 
 def detuning_profile(map_: JointSpectrumMap):
-    """Mass-weighted kernel density profile of the map over detuning.
+    """Estimate tau1 from a map: returns (detunings_thz, masses, tau1_ps).
 
-    Cell masses are spread with a Gaussian kernel whose bandwidth h is twice
-    the median spacing of the occupied detunings (at least two profile
-    steps), which fills the gaps of the discrete sampling without moving
-    lobe centroids. Each occupied cell reaches only the profile points
-    within 8 h of it, where the kernel has fallen below exp(-32) of its
-    peak. Returns (detunings_thz, density, bandwidth_thz).
+    The cells' cosine transform C(tau) = sum m cos(2 pi d tau) / sum m is
+    2 (P(tau) - 1/2) of the second-stage HOM scan (its Wiener-Khinchin
+    form), and it dips to about -1/2 at tau1. The estimate is the dip's
+    minimum, found by an FFT of a histogram of |d| and placed by a direct
+    transform of the cells and a parabola vertex. It lies above tau1 where
+    G(tau1) is not negligible (+7 % at 0.05 ps, where G = 0.05); the lobe
+    centroids move only 3e-4 there. Delays are searched only up to
+    1/(5 step), ``step`` being the coarser axis' mean frequency step, and
+    a transform that stays above -0.4 up to there raises ExtractionError.
     """
     masses = map_.cell_masses()
     if masses.size == 0 or masses.max() <= 0:
         raise ExtractionError("map carries no intensity mass")
     d = (C_NM_PER_PS / map_.signal_nm[map_.rows]
          - C_NM_PER_PS / map_.idler_nm[map_.cols])
-    keep = masses > 1e-12 * masses.max()
-    d, masses = d[keep], masses[keep]
-
-    dmax = np.abs(d).max() * 1.02
-    if dmax == 0:
+    abs_d = np.abs(d)
+    width = abs_d.max() / _HIST_BINS
+    if width == 0:
         raise ExtractionError("map carries no mass off zero detuning")
-    x = np.linspace(-dmax, dmax, _PROFILE_POINTS)
-    dx = x[1] - x[0]
-    spacings = np.diff(np.sort(d))
-    spacings = spacings[spacings > 1e-9]
-    med = np.median(spacings) if spacings.size else 0.0
-    h = max(2.0 * med, 2.0 * dx)
+    step = max(np.ptp(C_NM_PER_PS / axis) / (axis.size - 1)
+               for axis in (map_.signal_nm, map_.idler_nm))
+    tau_max = 1.0 / (_RESOLUTION_STEPS * step)
 
-    # Each cell reaches the profile points within `reach` steps of its
-    # nearest one. The loop runs over those offsets, so memory stays
-    # O(cells); points past either end are dropped, not clipped, so no
-    # mass lands twice. No offset beyond _PROFILE_POINTS - 1 can land inside.
-    reach = min(int(np.ceil(_KERNEL_REACH * h / dx)) + 1, _PROFILE_POINTS - 1)
-    nearest = np.rint((d - x[0]) / dx).astype(int)
-    y = np.zeros(_PROFILE_POINTS)
-    for k in range(-reach, reach + 1):
-        j = nearest + k
-        inside = (j >= 0) & (j < _PROFILE_POINTS)
-        j = j[inside]
-        y += np.bincount(j, masses[inside]
-                         * np.exp(-0.5 * ((x[j] - d[inside]) / h) ** 2),
-                         minlength=_PROFILE_POINTS)
-    y /= h * np.sqrt(2.0 * np.pi)
-    return x, y, h
+    # Bin b holds |d| near (b + 1/2) width, so the transform at delay
+    # j dtau is the rfft's entry j turned by half a bin.
+    hist = np.bincount(np.minimum(abs_d / width, _HIST_BINS - 1).astype(np.intp),
+                       masses, minlength=_HIST_BINS)
+    n_fft = _PAD * _HIST_BINS
+    dtau = 1.0 / (n_fft * width)
+    j = np.arange(min(int(tau_max / dtau), n_fft // 2) + 1)
+    spectrum = np.fft.rfft(hist, n_fft)[:j.size]
+    j0 = int(np.argmin((spectrum * np.exp(-1j * np.pi * j / n_fft)).real))
 
-
-def _log_parabola(x: np.ndarray, y: np.ndarray, frac: float = 0.35):
-    """Gaussian fit of a single lobe via a parabola in log density.
-
-    Uses only points at or above ``frac`` of the lobe maximum, where the
-    log of a Gaussian-plus-perturbation is still well conditioned.
-    Returns (center, sigma) or None when the lobe has no curvature.
-    """
-    m = y >= frac * y.max()
-    xs, logs = x[m], np.log(y[m])
-    a = np.vstack([np.ones_like(xs), xs, xs * xs]).T
-    c0, c1, c2 = np.linalg.lstsq(a, logs, rcond=None)[0]
-    if c2 >= 0:
-        return None
-    return -c1 / (2.0 * c2), np.sqrt(-1.0 / (2.0 * c2))
-
-
-def _extract_lobes(x: np.ndarray, y: np.ndarray, h: float) -> list[dict]:
-    """Locate and fit lobes on one (positive-detuning) side of a profile.
-
-    Peaks are 5-point local maxima above 2% of the side maximum; peaks
-    closer than 5 samples merge into the taller one. Each peak's window
-    runs between the neighboring inter-peak minima, tightened to where the
-    profile falls below 1e-3 of the peak so far tails never leak across.
-    The reported sigma removes the KDE bandwidth in quadrature.
-    """
-    if y.max() <= 0:
-        return []
-    core = y[2:-2]
-    peaks = (2 + np.nonzero((core == sliding_window_view(y, 5).max(axis=1))
-                            & (core > 0.02 * y.max()))[0]).tolist()
-    merged: list[int] = []
-    for i in peaks:
-        if merged and i - merged[-1] < 5:
-            if y[i] > y[merged[-1]]:
-                merged[-1] = i
-        else:
-            merged.append(i)
-
-    lobes = []
-    for j, i in enumerate(merged):
-        lo = 0 if j == 0 else int(np.argmin(y[merged[j - 1]:i])) + merged[j - 1]
-        hi = y.size - 1 if j == len(merged) - 1 \
-            else int(np.argmin(y[i:merged[j + 1]])) + i
-        drop = np.nonzero(y[i:hi + 1] < 1e-3 * y[i])[0]
-        if drop.size:
-            hi = i + drop[0]
-        drop = np.nonzero(y[lo:i + 1][::-1] < 1e-3 * y[i])[0]
-        if drop.size:
-            lo = i - drop[0]
-        fit = _log_parabola(x[lo:hi + 1], y[lo:hi + 1])
-        # A fit without curvature, or one whose vertex falls on the other
-        # side of zero detuning, is no lobe of this side.
-        if fit is None or fit[0] <= 0:
-            continue
-        center, sigma = fit
-        sigma = np.sqrt(max(sigma * sigma - h * h, 1e-12))
-        vol = float(np.trapezoid(y[lo:hi + 1], x[lo:hi + 1]))
-        lobes.append({"mu": float(center), "sigma": float(sigma), "vol": vol})
-    return lobes
+    # One delay at a time keeps the refine's memory at O(cells).
+    taus = np.linspace(j0 - 1, j0 + 1, _REFINE_POINTS) * dtau
+    dip = np.array([masses @ np.cos(2 * np.pi * t * abs_d) for t in taus]) / masses.sum()
+    i = min(max(int(np.argmin(dip)), 1), _REFINE_POINTS - 2)
+    if j0 == j[-1] or dip[i] >= _DIP_LEVEL:
+        raise ExtractionError(
+            f"no detectable comb: the cells' cosine transform stays above "
+            f"{_DIP_LEVEL} up to {tau_max:.3f} ps, the grid's resolution "
+            "limit; the map is featureless (tau1 too small) or its comb is "
+            "finer than the grid resolves")
+    lo, mid, hi = dip[i - 1:i + 2]
+    shift = 0.5 * (lo - hi) / (lo - 2.0 * mid + hi)
+    return d, masses, float(taus[i] + shift * (taus[1] - taus[0]))
 
 
 def extract_bins_from_map(map_: JointSpectrumMap,
                           threshold: float = 0.6) -> ExtractionResult:
     """Extract the bin state from a sampled 2D coincidence spectrum.
 
-    Works on the detuning profile of the map: lobes are located on each
-    side of zero detuning independently, Gaussian-fitted, mirror-matched
-    into pairs, and thresholded on combined pair volume. Balances come
-    from the volume ratio of the two sides of each pair.
+    Estimates tau1 from the map (``detuning_profile``) and cuts its cells
+    at the comb zeros: lobe k holds the cells with k <= |d| tau1 < k + 1,
+    and their sums fill the lobe table ``predict_bins`` fills from the
+    model. Every pair's width is the half maximum of sin^2(pi d tau1).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    x, y, h = detuning_profile(map_)
-    pos_mask = x > 0
-    pos = _extract_lobes(x[pos_mask], y[pos_mask], h)
-    neg = _extract_lobes(-x[~pos_mask][::-1], y[~pos_mask][::-1], h)
-    if not pos or not neg:
-        raise ExtractionError(
-            "no detectable lobes in the detuning profile; the map is either "
-            "featureless (tau1 too small) or carries no mass off the diagonal")
+    d, masses, tau1 = detuning_profile(map_)
+    abs_d, side = np.abs(d), d > 0
+    k = (abs_d * tau1).astype(np.intp)
+    size = int(k.max()) + 1
+    vol_pos = np.bincount(k[side], masses[side], minlength=size)
+    vol_neg = np.bincount(k[~side], masses[~side], minlength=size)
+    moment = np.bincount(k, masses * abs_d, minlength=size)
 
-    pos.sort(key=lambda l: l["mu"])
-    matched = []
-    neg_free = list(neg)
-    for lp in pos:
-        if not neg_free:
-            raise ExtractionError(
-                f"lobe at +{lp['mu']:.3f} THz has no mirror partner")
-        ln = min(neg_free, key=lambda l: abs(l["mu"] - lp["mu"]))
-        if abs(ln["mu"] - lp["mu"]) > 0.5 * lp["mu"]:
-            raise ExtractionError(
-                f"lobe at +{lp['mu']:.3f} THz has no mirror partner "
-                f"(closest candidate at {ln['mu']:.3f} THz)")
-        neg_free.remove(ln)
-        matched.append((lp, ln))
+    # Degenerate frequency: the mass-weighted mean of (nu_s + nu_i)/2.
+    nu_sum = (C_NM_PER_PS / map_.signal_nm[map_.rows]
+              + C_NM_PER_PS / map_.idler_nm[map_.cols])
+    lam0 = frequency_to_wavelength(0.5 * float(masses @ nu_sum) / masses.sum())
 
-    vols = np.array([lp["vol"] + ln["vol"] for lp, ln in matched])
-    keep = vols >= threshold * vols.max()
-    matched = [m for m, k in zip(matched, keep) if k]
-
-    # Degenerate frequency from the mass-weighted mean sum frequency, taken
-    # over the two marginals, each summed from the cells.
-    ws, wi = map_.cell_widths()
-    rows, cols, values = map_.rows, map_.cols, map_.values
-    signal_mass = ws * np.bincount(rows, values * wi[cols], minlength=ws.size)
-    idler_mass = wi * np.bincount(cols, ws[rows] * values, minlength=wi.size)
-    nu0 = float(0.5 * (signal_mass @ (C_NM_PER_PS / map_.signal_nm)
-                       + idler_mass @ (C_NM_PER_PS / map_.idler_nm))
-                / signal_mass.sum())
-    lam0 = frequency_to_wavelength(nu0)
-
-    total = sum(lp["vol"] + ln["vol"] for lp, ln in matched)
-    pairs = []
-    fwhms = []
-    for j, (lp, ln) in enumerate(matched):
-        mu = 0.5 * (lp["mu"] + ln["mu"])
-        sigma = 0.5 * (lp["sigma"] + ln["sigma"])
-        pairs.append(FrequencyBinPair(
-            index_j=j + 1, detuning_thz=mu,
-            weight=(lp["vol"] + ln["vol"]) / total,
-            balance=lp["vol"] / (lp["vol"] + ln["vol"])))
-        # One bin's frequency spread is half the detuning spread; convert
-        # its FWHM to wavelength at the band center.
-        fwhms.append(FWHM_PER_SIGMA * 0.5 * sigma * lam0 ** 2 / C_NM_PER_PS)
-
-    state = DiscreteState(pairs=tuple(pairs), center_wavelength_nm=lam0)
-    return ExtractionResult(state=state, lobe_fwhm_nm=tuple(fwhms),
-                            kde_bandwidth_thz=h)
+    state = _lobe_state(vol_pos, vol_neg, moment, threshold, lam0)
+    # A bin spans half the lobe's 1/(2 tau1), in wavelength at the center.
+    fwhm = lam0 ** 2 / (4.0 * C_NM_PER_PS * tau1)
+    return ExtractionResult(state, (fwhm,) * len(state.pairs), tau1)
 
 
 def coherence_time(source) -> float:

@@ -109,7 +109,7 @@ def _extraction_sidecar(scenario: Scenario, extraction, predicted) -> dict:
         "dimension_m": state.dimension_m,
         "pairs": [_bin_pair(p, lobe_fwhm_nm=float(fwhm)) for p, fwhm
                   in zip(state.pairs, extraction.lobe_fwhm_nm)],
-        "kde_bandwidth_thz": float(extraction.kde_bandwidth_thz),
+        "tau1_estimate_ps": float(extraction.tau1_ps),
         "predicted": {
             "dimension_m": predicted.dimension_m,
             "pairs": [_bin_pair(p) for p in predicted.pairs],

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,46 +36,51 @@ PREDICTED_WEIGHTS = {
     0.37: [0.3873, 0.3432, 0.2696],
 }
 EXTRACTED_DETUNINGS = {
-    0.12: [3.9773],
-    0.20: [2.4584, 7.3767],
-    0.27: [1.8356, 5.5031],
-    0.37: [1.3439, 4.0339, 6.7248],
+    0.12: [4.0138],
+    0.20: [2.4665, 7.3995],
+    0.27: [1.8381, 5.5145],
+    0.37: [1.3460, 4.0379, 6.7300],
 }
-EXTRACTED_FWHM_NM = {
-    0.12: [4.3698],
-    0.20: [2.6489, 2.6471],
-    0.27: [1.9603, 1.9746],
-    0.37: [1.4231, 1.4348, 1.4217],
-}
+# Every pair's width is the sin^2 lobe's half-maximum, lam0^2 / (4 c tau1).
+EXTRACTED_FWHM_NM = {0.12: 4.5593, 0.20: 2.7357, 0.27: 2.0264, 0.37: 1.4787}
 # benchmark fit values for the same source, ascending detuning
 BENCH_WEIGHTS = {0.27: [0.54, 0.46], 0.37: [0.41, 0.35, 0.24]}
 
 
-def _dense_profile(map_, n_points=1024):
-    """Oracle for detuning_profile: every cell's kernel at every point.
+def _dip_minimum(map_, tau1):
+    """Oracle for detuning_profile's tau1: the minimum of the cells' cosine
+    transform, evaluated directly (no histogram, no FFT).
 
-    Same cells, grid and bandwidth as the package, but with no kernel reach:
-    the Gaussian sum runs over all occupied cells at each profile point.
+    A 2 fs grid over (0, 2 tau1) finds the dip; each finer grid of 41
+    delays spans +-2 steps of the one before, down to 2e-9 ps.
     """
+    masses = map_.cell_masses()
+    d = (C_NM_PER_PS / map_.signal_nm[map_.rows]
+         - C_NM_PER_PS / map_.idler_nm[map_.cols])
+
+    def argmin(taus):
+        return taus[np.argmin([masses @ np.cos(2.0 * np.pi * t * d)
+                               for t in taus])]
+
+    step = 2e-3
+    best = argmin(np.arange(step, 2.0 * tau1, step))
+    while step > 1e-8:
+        best = argmin(best + np.linspace(-2.0 * step, 2.0 * step, 41))
+        step /= 10.0
+    return best
+
+
+def _poisson_map(map_, total, rng):
+    """The map's cells Poisson-sampled to ``total`` expected coincidences;
+    cells that drew no count are dropped."""
+    masses = map_.cell_masses()
+    counts = rng.poisson(total * masses / masses.sum())
+    live = counts > 0
     ws, wi = map_.cell_widths()
-    masses = (map_.intensity * ws[:, None] * wi[None, :]).ravel()
-    nu_s = C_NM_PER_PS / map_.signal_nm
-    nu_i = C_NM_PER_PS / map_.idler_nm
-    d = (nu_s[:, None] - nu_i[None, :]).ravel()
-    keep = masses > 1e-12 * masses.max()
-    d, masses = d[keep], masses[keep]
-    dmax = np.abs(d).max() * 1.02
-    x = np.linspace(-dmax, dmax, n_points)
-    spacings = np.diff(np.sort(d))
-    spacings = spacings[spacings > 1e-9]
-    med = np.median(spacings) if spacings.size else 0.0
-    h = max(2.0 * med, 2.0 * (x[1] - x[0]))
-    y = np.zeros(n_points)
-    for i0 in range(0, d.size, 4096):
-        sl = slice(i0, i0 + 4096)
-        y += (masses[sl][None, :]
-              * np.exp(-0.5 * ((x[:, None] - d[sl][None, :]) / h) ** 2)).sum(axis=1)
-    return x, y / (h * np.sqrt(2.0 * np.pi)), h
+    rows, cols = map_.rows[live], map_.cols[live]
+    return JointSpectrumMap(signal_nm=map_.signal_nm, idler_nm=map_.idler_nm,
+                            rows=rows, cols=cols,
+                            values=counts[live] / (ws[rows] * wi[cols]))
 
 
 def _trapezoid_lobes(model, tau1, threshold=0.6):
@@ -101,13 +110,6 @@ def _trapezoid_lobes(model, tau1, threshold=0.6):
 # The --fine sweep of scripts/run_delay_sweep.py and the reference delays.
 ORACLE_DELAYS_PS = sorted(set(np.round(np.arange(0.05, 0.8001, 0.025), 3).tolist())
                           | set(BENCH_DELAYS_PS))
-
-
-def _assert_matches_dense_oracle(map_):
-    x, y, h = detuning_profile(map_)
-    x_ref, y_ref, h_ref = _dense_profile(map_)
-    assert np.array_equal(x, x_ref) and h == h_ref
-    assert np.max(np.abs(y - y_ref)) <= 1e-10 * y_ref.max()
 
 
 class TestPredictBins:
@@ -224,6 +226,17 @@ class TestExtraction:
         assert rel.max() < 0.02
         assert np.allclose(got.weights(), want.weights(), atol=0.05)
 
+    def test_balance_is_the_signal_high_share(self, spectrum_maps):
+        # Doubling every cell with nu_s > nu_i gives each pair's
+        # (signal-high, idler-low) bin 2/3 of the pair.
+        m = spectrum_maps[0.27]
+        d = C_NM_PER_PS / m.signal_nm[m.rows] - C_NM_PER_PS / m.idler_nm[m.cols]
+        map_ = JointSpectrumMap(signal_nm=m.signal_nm, idler_nm=m.idler_nm,
+                                rows=m.rows, cols=m.cols,
+                                values=m.values * np.where(d > 0, 2.0, 1.0))
+        balances = extract_bins_from_map(map_).state.balances()
+        assert np.allclose(balances, 2.0 / 3.0, rtol=0, atol=1e-6)
+
     def test_balances_stay_near_half(self, extractions):
         for ex in extractions.values():
             assert np.all(ex.state.balances() > 0.48)
@@ -233,6 +246,31 @@ class TestExtraction:
     def test_lobe_widths_are_stable(self, extractions, tau1):
         assert np.allclose(extractions[tau1].lobe_fwhm_nm,
                            EXTRACTED_FWHM_NM[tau1], atol=5e-3)
+
+    @pytest.mark.parametrize("tau1", ORACLE_DELAYS_PS + [1.0, 2.0])
+    def test_matches_prediction(self, model, tau1):
+        got = extract_bins_from_map(coincidence_spectrum(model, tau1)).state
+        want = predict_bins(model, tau1)
+        assert got.dimension_m == want.dimension_m
+        assert np.allclose(got.detunings_thz(), want.detunings_thz(),
+                           rtol=2e-3, atol=0)
+        assert np.allclose(got.weights(), want.weights(), rtol=0, atol=1e-3)
+
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_noisy_maps_keep_the_bin_count(self, spectrum_maps,
+                                           predicted_states, tau1):
+        # 100 Poisson draws of 10^4 coincidences each; a bare ValueError
+        # (exit 2 in the CLI) would fail the test outright.
+        rng = np.random.default_rng(7)
+        right = 0
+        for _ in range(100):
+            noisy = _poisson_map(spectrum_maps[tau1], 1e4, rng)
+            try:
+                state = extract_bins_from_map(noisy).state
+            except ExtractionError:
+                continue
+            right += state.dimension_m == predicted_states[tau1].dimension_m
+        assert right >= 99
 
     def test_lobe_width_near_benchmark(self, extractions):
         # benchmark reports 1.52 nm wide bins at the largest delay
@@ -244,15 +282,15 @@ class TestExtraction:
             assert ex.state.center_wavelength_nm == pytest.approx(810.0,
                                                                   abs=0.2)
 
-    def test_kde_bandwidth_reported(self, extractions):
-        for ex in extractions.values():
-            assert 0.0 < ex.kde_bandwidth_thz < 1.0
+    def test_tau1_estimate_reported(self, extractions):
+        for tau1, ex in extractions.items():
+            assert ex.tau1_ps == pytest.approx(tau1, rel=1e-4)
 
     @pytest.mark.xfail(
         strict=True,
         reason="the benchmark lists {2.67, 6.94} THz at 0.20 ps, straddling "
                "the bare comb; the symmetric Gaussian model cannot land "
-               "within 5 percent of both (inner lobe about 7.9 % low)")
+               "within 5 percent of both (inner lobe about 7.6 % low)")
     @pytest.mark.parametrize("tau1", [0.20])
     def test_extraction_matches_benchmark_table(self, extractions, tau1):
         bench = [2.67, 6.94]
@@ -264,17 +302,15 @@ class TestExtraction:
         with pytest.raises(ExtractionError, match="featureless|no detectable"):
             extract_bins_from_map(jsi_map(model))
 
-    def test_unpaired_lobe_is_rejected(self):
-        lam = np.linspace(790.0, 830.0, 96)
-        nu = C_NM_PER_PS / lam
-        d = nu[:, None] - nu[None, :]
-        s = nu[:, None] + nu[None, :]
-        s0 = 2 * C_NM_PER_PS / 810.0
-        blob_pos = np.exp(-0.5 * ((d - 5.0) / 0.8) ** 2)
-        blob_neg = np.exp(-0.5 * ((d + 1.0) / 0.8) ** 2)
-        pump = np.exp(-0.5 * ((s - s0) / 0.5) ** 2)
-        map_ = JointSpectrumMap(signal_nm=lam, idler_nm=lam,
-                                **live_cells((blob_pos + blob_neg) * pump))
+    def test_unpaired_lobe_is_rejected(self, spectrum_maps):
+        # The 0.12 ps comb with the cells of its inner lobe's negative side
+        # removed: the one kept lobe lies all at positive detuning.
+        m = spectrum_maps[0.12]
+        d = C_NM_PER_PS / m.signal_nm[m.rows] - C_NM_PER_PS / m.idler_nm[m.cols]
+        keep = (d > 0) | (d * 0.12 <= -1.0)
+        map_ = JointSpectrumMap(signal_nm=m.signal_nm, idler_nm=m.idler_nm,
+                                rows=m.rows[keep], cols=m.cols[keep],
+                                values=m.values[keep])
         with pytest.raises(ExtractionError, match="mirror partner"):
             extract_bins_from_map(map_)
 
@@ -283,37 +319,39 @@ class TestExtraction:
             extract_bins_from_map(spectrum_maps[0.27], threshold=1.0)
 
     def test_no_lobe_is_fitted_across_zero_detuning(self, model):
-        # At 3 ps the comb is finer than the map resolves, and a lobe's
-        # log-parabola vertex can fall at negative detuning.
-        try:
+        # At 3 ps the comb spacing is four frequency steps of the default
+        # grid, under the five it needs: extraction refuses, where a lobe
+        # search once reported an aliased m = 8 (predict_bins gives 48).
+        with pytest.raises(ExtractionError, match="2.394 ps"):
             extract_bins_from_map(coincidence_spectrum(model, 3.0))
-        except ExtractionError as err:
-            assert "+-" not in str(err)
+
+    def test_comb_resolved_up_to_two_ps(self, model):
+        state = extract_bins_from_map(coincidence_spectrum(model, 2.0)).state
+        assert state.dimension_m == 32 == predict_bins(model, 2.0).dimension_m
 
 
 class TestDetuningProfile:
-    """The finite-reach KDE against the dense Gaussian sum it replaced."""
+    """The tau1 estimate from the cells' cosine transform."""
 
-    @pytest.mark.parametrize("tau1", (0.08, 0.12, 0.20, 0.27, 0.37, 0.80))
-    def test_matches_dense_oracle(self, model, spectrum_maps, tau1):
-        map_ = (spectrum_maps[tau1] if tau1 in spectrum_maps
-                else coincidence_spectrum(model, tau1))
-        _assert_matches_dense_oracle(map_)
+    @pytest.mark.parametrize("tau1", ORACLE_DELAYS_PS)
+    def test_tau1_matches_direct_dip_search(self, model, tau1):
+        map_ = coincidence_spectrum(model, tau1)
+        _, _, tau1_hat = detuning_profile(map_)
+        assert tau1_hat == pytest.approx(_dip_minimum(map_, tau1), rel=1e-5)
 
-    def test_matches_dense_oracle_on_bare_spectrum(self, model):
-        _assert_matches_dense_oracle(jsi_map(model))
-
-    def test_edge_cell_mass_is_not_counted_twice(self):
-        # Uniform intensity: the corner cells, at the largest |detuning|,
-        # carry as much mass as any, and sit within the kernel reach of the
-        # profile ends, so indices past the ends must be dropped.
-        lam = np.linspace(800.0, 820.0, 64)
-        map_ = JointSpectrumMap(signal_nm=lam, idler_nm=lam,
-                                **live_cells(np.ones((64, 64))))
-        x, _, h = detuning_profile(map_)
-        nu = C_NM_PER_PS / lam
-        assert x[-1] - (nu[0] - nu[-1]) < 8.0 * h
-        _assert_matches_dense_oracle(map_)
+    def test_extraction_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma, about 1 MiB on a process's first
+        # extraction; the extraction path must not call it.
+        code = ("import sys\n"
+                "from hombeat import (BiphotonSpectrumModel,"
+                " coincidence_spectrum, extract_bins_from_map)\n"
+                "extract_bins_from_map(coincidence_spectrum("
+                "BiphotonSpectrumModel(), 0.27))\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": path})
 
     def test_memory_is_set_by_the_map_not_the_kernel(self, spectrum_maps):
         tracemalloc.start()

@@ -42,7 +42,7 @@ class TestSpectrumCommand:
             assert set(pair) == {"index_j", "detuning_thz", "weight",
                                  "balance", "lobe_fwhm_nm"}
         assert sidecar["predicted"]["dimension_m"] == 4
-        assert sidecar["kde_bandwidth_thz"] > 0
+        assert sidecar["tau1_estimate_ps"] == pytest.approx(0.27, abs=1e-4)
 
     def test_json_format(self, tmp_path):
         scenario = write_scenario(tmp_path)
@@ -53,6 +53,16 @@ class TestSpectrumCommand:
         assert (out / "map.json").exists()
         assert not (out / "map.csv").exists()
 
+    def test_unresolvable_comb_is_a_numeric_failure(self, tmp_path, capsys):
+        # At 3 ps the comb spacing is four frequency steps of the default
+        # map, under the five extraction needs.
+        scenario = write_scenario(tmp_path, tau1_ps=3)
+        rc = main(["--scenario", scenario, "--out", str(tmp_path / "run"),
+                   "spectrum"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "2.394 ps" in err
+        assert "Traceback" not in err
 
     def test_span_reaching_zero_frequency_is_a_configuration_error(
             self, tmp_path, capsys):
@@ -304,8 +314,8 @@ class TestPipeline:
         assert "report" not in bundle["outputs"]
 
     def test_failed_seeding_is_a_numeric_failure(self, tmp_path, capsys):
-        # At 5 ps the comb is too dense for the scan to resolve every
-        # extracted pair, so seeding finds fewer peaks than it needs.
+        # At 5 ps the comb is finer than the default map resolves, so the
+        # pipeline stops at extraction, before the scan is fitted.
         path = tmp_path / "far.json"
         path.write_text(json.dumps({"tau1_ps": 5}))
         rc = main(["--scenario", str(path), "--out", str(tmp_path / "run"),
