@@ -49,7 +49,7 @@ from .hom import (
     fringe_probability,
     fringe_scan,
 )
-from .lm import LMOptions, LMResult, levenberg_marquardt
+from .lm import LMResult, levenberg_marquardt
 from .reference import fringe_params_from_reference
 from .scenario import (
     AnalysisConfig,
@@ -94,7 +94,6 @@ __all__ = [
     "FringeScan",
     "GAUSSIAN_TIME_BANDWIDTH",
     "JointSpectrumMap",
-    "LMOptions",
     "LMResult",
     "RestrictedDensityMatrix",
     "ScanConfig",

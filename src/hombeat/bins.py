@@ -52,13 +52,11 @@ class FrequencyBinPair:
     detuning_thz: float
     weight: float
     balance: float
-    phase_deg: float = 180.0
 
     def __post_init__(self):
         if self.index_j < 1:
             raise ValueError("pair index is 1-based")
-        vals = (self.detuning_thz, self.weight, self.balance, self.phase_deg)
-        if not all(map(math.isfinite, vals)):
+        if not all(map(math.isfinite, (self.detuning_thz, self.weight, self.balance))):
             raise ValueError("pair parameters must be finite")
         if self.detuning_thz <= 0:
             raise ValueError("detuning must be positive")

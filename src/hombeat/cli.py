@@ -157,7 +157,7 @@ def cmd_fit(scenario: Scenario, scan: FringeScan, out_dir: str,
     """Fit the fringe model to a scan and write the result."""
     result = fit_fringe_scan(scan, m=scenario.fit.m if m is None else m,
                              known_weights=known_weights,
-                             options=scenario.fit.lm_options())
+                             max_iterations=int(scenario.fit.max_iterations))
     fit_path = os.path.join(out_dir, "fit.json")
     write_fit_json(result, fit_path)
     return {"fit": fit_path}, result

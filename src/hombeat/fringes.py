@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import LMOptions, LMResult, levenberg_marquardt
+from .lm import MAX_ITERATIONS, levenberg_marquardt
 
 __all__ = [
     "FringePairParams",
@@ -341,7 +341,7 @@ def _theta_jacobian(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def fit_fringe_scan(scan: FringeScan, m: int | None = None,
                     known_weights=None, initial: FringeModelParams | None = None,
-                    options: LMOptions | None = None) -> FitResult:
+                    max_iterations: int = MAX_ITERATIONS) -> FitResult:
     """Weighted least-squares fit of the fringe model to a scan.
 
     Parameters
@@ -361,6 +361,8 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
         visibility V = sum(A*V) and weights proportional to the amplitudes.
     initial:
         Explicit starting parameters, in place of the automatic seed.
+    max_iterations:
+        Accepted LM steps after which the fit stops unconverged.
     """
     if initial is not None:
         if m is not None and m != 2 * len(initial.pairs):
@@ -390,7 +392,7 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
     def jacobian(theta):
         return _theta_jacobian(t, theta) / sig[:, None]
 
-    lm_res: LMResult = levenberg_marquardt(residual, theta0, options, jacobian)
+    lm_res = levenberg_marquardt(residual, theta0, max_iterations, jacobian)
 
     # cos(2 pi mu tau + phi) = cos(2 pi (-mu) tau - phi): each negative-mu
     # pair is unpacked as (-mu, -phi), with its covariance rows and columns.

@@ -122,64 +122,77 @@ def write_map_json(map_: JointSpectrumMap, path: str) -> None:
          f'{_json_array(_reprs(map_.signal_nm))}\n}}\n']))
 
 
-def write_scan_csv(scan: FringeScan, model_probs: np.ndarray, path: str,
-                   seed: int | None = None) -> None:
-    """Scan samples; count columns appear only for counting data."""
-    lines = [f"# schema_version={SCHEMA_VERSION}",
-             f"# counts_per_point={scan.counts_per_point}"]
+# The scan file's columns, in file order: a counting scan (counts_per_point
+# >= 1) has all four, a noiseless one the first two.
+_SCAN_COLUMNS = ["tau2_ps", "probability_model", "counts", "sigma"]
+
+
+def _scan_table(scan: FringeScan, model_probs, seed: int | None):
+    """Header fields (schema_version, counts_per_point, the seed of a
+    counting scan if known) and named columns; both writers format these."""
+    header = {"schema_version": SCHEMA_VERSION,
+              "counts_per_point": scan.counts_per_point}
     columns = [scan.tau2_ps, model_probs]
     if scan.counts_per_point:
-        if seed is not None:
-            lines.append(f"# seed={seed}")
-        lines.append("tau2_ps,probability_model,counts,sigma")
         columns += [scan.values, scan.uncertainties]
-    else:
-        lines.append("tau2_ps,probability_model")
-    lines += map(",".join, zip(*map(_reprs, columns)))
+        if seed is not None:
+            header["seed"] = seed
+    return header, {name: np.asarray(column, dtype=float).tolist()
+                    for name, column in zip(_SCAN_COLUMNS, columns)}
+
+
+def write_scan_csv(scan: FringeScan, model_probs: np.ndarray, path: str,
+                   seed: int | None = None) -> None:
+    """Header fields as comments, then the column names, then one row per delay."""
+    header, columns = _scan_table(scan, model_probs, seed)
+    lines = [f"# {key}={value}" for key, value in header.items()]
+    lines.append(",".join(columns))
+    lines += map(",".join, zip(*(map(repr, c) for c in columns.values())))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_scan_json(scan: FringeScan, model_probs: np.ndarray, path: str,
                     seed: int | None = None) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "counts_per_point": scan.counts_per_point,
-        "tau2_ps": [float(v) for v in scan.tau2_ps],
-        "probability_model": [float(v) for v in model_probs],
-    }
-    if scan.counts_per_point:
-        payload["counts"] = [float(v) for v in scan.values]
-        payload["sigma"] = [float(v) for v in scan.uncertainties]
-        if seed is not None:
-            payload["seed"] = seed
-    write_json(path, payload)
-
-
-def _scan_from_columns(tau2, model_probs, counts, sigma, counts_per_point):
-    kind, floor = ("noiseless", 0) if counts is None else ("counting", 1)
-    if counts_per_point < floor:
-        raise IOFormatError(f"{kind} scan has counts_per_point < {floor}")
-    model_probs = np.asarray(model_probs, dtype=float)
-    if counts is None:
-        counts, sigma, counts_per_point = model_probs, np.zeros_like(model_probs), 0
-    scan = FringeScan(tau2_ps=tau2, values=counts,
-                      counts_per_point=counts_per_point)
-    sigma = np.asarray(sigma, dtype=float)
-    if model_probs.shape != scan.values.shape:
-        raise ValueError("probability_model must match tau2_ps in length")
-    if sigma.shape != scan.values.shape or not np.allclose(
-            sigma, scan.uncertainties, rtol=0, atol=1e-9):
-        raise ValueError("sigma must be sqrt(count) with a one-count floor")
-    if scan.n_points < 3:
-        raise IOFormatError(f"scan has {scan.n_points} points, need at least 3")
-    return scan, model_probs
+    header, columns = _scan_table(scan, model_probs, seed)
+    write_json(path, {**header, **columns})
 
 
 def read_scan(path: str):
     """Load a scan file (CSV or JSON). Returns (FringeScan, model_column)."""
-    if path.endswith(".json"):
-        return _read_scan_json(path)
-    return _read_scan_csv(path)
+    header, names, columns = (_read_scan_json if path.endswith(".json")
+                              else _read_scan_csv)(path)
+    return _scan_from_table(header, names, columns)
+
+
+def _scan_from_table(header: dict, names: list[str], columns):
+    """The one scan rule for both encodings: counts_per_point >= 1 if and
+    only if all four columns are present, and sigma is sqrt(max(count, 1))."""
+    if names not in (_SCAN_COLUMNS[:2], _SCAN_COLUMNS):
+        raise IOFormatError(f"unexpected scan columns: {names}")
+    try:
+        cpp = int(str(header.get("counts_per_point", 0)))
+    except ValueError as exc:
+        raise IOFormatError("counts_per_point is not an integer") from exc
+    counting = names == _SCAN_COLUMNS
+    if cpp >= 1 and not counting:
+        raise IOFormatError("counting scan lacks counts/sigma columns")
+    kind, floor = ("counting", 1) if counting else ("noiseless", 0)
+    if cpp < floor:
+        raise IOFormatError(f"{kind} scan has counts_per_point < {floor}")
+    try:
+        tau2, model_probs, *counted = (np.asarray(c, dtype=float) for c in columns)
+        scan = FringeScan(tau2_ps=tau2, values=counted[0] if counted else model_probs,
+                          counts_per_point=cpp)
+        if model_probs.shape != scan.values.shape:
+            raise ValueError("probability_model must match tau2_ps in length")
+        if counted and (counted[1].shape != scan.values.shape or not np.allclose(
+                counted[1], scan.uncertainties, rtol=0, atol=1e-9)):
+            raise ValueError("sigma must be sqrt(count) with a one-count floor")
+    except (TypeError, ValueError) as exc:
+        raise IOFormatError(f"inconsistent scan data: {exc}") from exc
+    if scan.n_points < 3:
+        raise IOFormatError(f"scan has {scan.n_points} points, need at least 3")
+    return scan, model_probs
 
 
 def _read_scan_json(path: str):
@@ -189,69 +202,37 @@ def _read_scan_json(path: str):
         except json.JSONDecodeError as exc:
             raise IOFormatError(f"scan file is not valid JSON: {exc}") from exc
     try:
-        cpp = int(data["counts_per_point"])
-        tau2 = data["tau2_ps"]
-        model_probs = data["probability_model"]
-        counts = data.get("counts")
-        sigma = data.get("sigma")
-    except (KeyError, TypeError, ValueError) as exc:
+        names = _SCAN_COLUMNS[:2] + [n for n in _SCAN_COLUMNS[2:] if n in data]
+        return data, names, [data[name] for name in names]
+    except (KeyError, TypeError) as exc:
         raise IOFormatError(f"scan file misses required fields: {exc}") from exc
-    if cpp > 0 and (counts is None or sigma is None):
-        raise IOFormatError("counting scan lacks counts/sigma arrays")
-    try:
-        return _scan_from_columns(tau2, model_probs,
-                                  counts if cpp > 0 else None, sigma, cpp)
-    except ValueError as exc:
-        raise IOFormatError(f"inconsistent scan data: {exc}") from exc
 
 
 def _read_scan_csv(path: str):
-    meta = {}
-    header = None
-    rows = []
+    """``# key=value`` comments, the column names, then the numeric block,
+    parsed whole by numpy: a row with too few or too many fields fails."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line)
-    if header is None or not rows:
+        lines = fh.read().splitlines()
+    header, names = {}, None
+    for k, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            key, eq, value = line.lstrip("#").partition("=")
+            if eq:
+                header[key.strip()] = value.strip()
+        elif line:
+            names, rows = line.split(","), lines[k + 1:]
+            break
+    if names is None or not any(rows):
         raise IOFormatError("scan file has no data rows")
-    counting = header == ["tau2_ps", "probability_model", "counts", "sigma"]
-    if not counting and header != ["tau2_ps", "probability_model"]:
-        raise IOFormatError(f"unexpected scan columns: {header}")
-    # Rows stay strings until here and are split one at a time: a list per
-    # row would hold hundreds of GC-tracked objects alive at once, which the
-    # collector promotes to its oldest generation, and the full collections
-    # that follow stall a later call for about 10 ms.
-    cols = [[] for _ in header]
     try:
-        for line in rows:
-            fields = line.split(",")
-            for k, col in enumerate(cols):
-                col.append(float(fields[k]))
-    except (ValueError, IndexError) as exc:
+        block = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if block.shape[1] != len(names):
+            raise ValueError(f"{block.shape[1]} fields per row, "
+                             f"{len(names)} column names")
+    except ValueError as exc:
         raise IOFormatError(f"malformed scan row: {exc}") from exc
-    try:
-        cpp = int(meta.get("counts_per_point", "0"))
-    except ValueError as exc:
-        raise IOFormatError("counts_per_point comment is not an integer") from exc
-    try:
-        return _scan_from_columns(
-            cols[0], cols[1],
-            cols[2] if counting else None,
-            cols[3] if counting else None, cpp)
-    except ValueError as exc:
-        raise IOFormatError(f"inconsistent scan data: {exc}") from exc
+    return header, names, block.T
 
 
 def _pair_dicts(pairs) -> list[dict]:

@@ -13,28 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LMOptions", "LMResult", "levenberg_marquardt"]
+__all__ = ["LMResult", "levenberg_marquardt"]
 
 # Damping at the start (see above) and past which the solver gives up, and
 # the relative step of the central-difference Jacobian.
 LAMBDA_INIT = 0.0
 LAMBDA_MAX = 1e12
 FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class LMOptions:
-    """Termination controls.
-
-    The solver stops when the infinity norm of the gradient drops below
-    ``gradient_tol``, when a trial step (accepted or not) changes the cost
-    by less than ``cost_tol`` relatively, or after ``max_iterations``
-    accepted steps.
-    """
-
-    max_iterations: int = 500
-    gradient_tol: float = 1e-8
-    cost_tol: float = 1e-10
+# Stop rule: the gradient's infinity norm is below GRADIENT_TOL, or a trial
+# step (accepted or not) changes the cost by less than COST_TOL relatively.
+GRADIENT_TOL = 1e-8
+COST_TOL = 1e-10
+MAX_ITERATIONS = 500
 
 
 @dataclass
@@ -75,7 +65,7 @@ def _clipped_pinv(h: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
+def levenberg_marquardt(residual_fn, x0, max_iterations: int = MAX_ITERATIONS,
                         jacobian=None) -> LMResult:
     """Minimize 0.5 * sum(residual_fn(x)^2) from the starting point x0.
 
@@ -87,9 +77,8 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
         a rejected trial step rather than an error.
     x0:
         Initial parameter vector, finite, at least one entry.
-    options:
-        Termination controls and the finite-difference step; defaults are
-        fine for the fits in this package.
+    max_iterations:
+        Accepted steps after which the solver stops unconverged.
     jacobian:
         Optional callable mapping a parameter vector to the
         (n_residuals, n_params) matrix of residual derivatives. Without it
@@ -105,7 +94,6 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
         ``n_residual_evals`` counts calls of ``residual_fn`` only, and
         ``covariance`` is (J^T J)^+ at the returned parameters.
     """
-    opt = options or LMOptions()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.size == 0:
         raise ValueError("need at least one free parameter")
@@ -135,11 +123,11 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
             return _fd_jacobian(residual, xk, n_res, FD_STEP)
     jac_x = None
 
-    for _ in range(opt.max_iterations):
+    for _ in range(max_iterations):
         jac, jac_x = np.asarray(jacobian(x), dtype=float), x
         grad = jac.T @ r
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < opt.gradient_tol:
+        if grad_norm < GRADIENT_TOL:
             converged = True
             message = "gradient tolerance reached"
             break
@@ -171,7 +159,7 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
                 lam = lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 nu = 2.0
                 accepted = True
-                if rel_drop < opt.cost_tol:
+                if rel_drop < COST_TOL:
                     converged = True
                     message = "relative cost change below tolerance"
             else:
@@ -179,7 +167,7 @@ def levenberg_marquardt(residual_fn, x0, options: LMOptions | None = None,
                 # within the relative tolerance means the surface is flat at
                 # numerical resolution: no further progress is possible.
                 if np.isfinite(cost_try) and \
-                        abs(cost_try - cost) < opt.cost_tol * max(cost, 1e-300):
+                        abs(cost_try - cost) < COST_TOL * max(cost, 1e-300):
                     converged = True
                     message = "relative cost change below tolerance"
                     break

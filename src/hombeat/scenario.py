@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .density import CROSS_COHERENCE_MODES
-from .lm import LMOptions
+from .lm import MAX_ITERATIONS
 from .spectral import BiphotonSpectrumModel
 
 __all__ = [
@@ -63,24 +63,13 @@ class FitConfig:
     """Fringe-fit settings; m = None auto-detects the bin count."""
 
     m: int | None = None
-    max_iterations: int = 500
-    gradient_tol: float = 1e-8
-    cost_tol: float = 1e-10
+    max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
         if self.m is not None and (int(self.m) != self.m or self.m < 2 or self.m % 2):
             raise ScenarioError("fit.m must be a positive even integer or null")
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
             raise ScenarioError("fit.max_iterations must be a positive integer")
-        if not 0 < self.gradient_tol < 1:
-            raise ScenarioError("fit.gradient_tol must lie in (0, 1)")
-        if not 0 < self.cost_tol < 1:
-            raise ScenarioError("fit.cost_tol must lie in (0, 1)")
-
-    def lm_options(self) -> LMOptions:
-        return LMOptions(max_iterations=int(self.max_iterations),
-                         gradient_tol=float(self.gradient_tol),
-                         cost_tol=float(self.cost_tol))
 
 
 @dataclass(frozen=True)

@@ -314,14 +314,31 @@ class TestPipeline:
         assert "report" not in bundle["outputs"]
 
     def test_failed_seeding_is_a_numeric_failure(self, tmp_path, capsys):
-        # At 5 ps the comb is finer than the default map resolves, so the
-        # pipeline stops at extraction, before the scan is fitted.
+        # At 5 ps the comb is finer than the default map resolves (tau1
+        # above 2.39 ps), so this pipeline fails at extraction, before the
+        # scan is seeded; test_pipeline_seeding_failure reaches the seeding.
         path = tmp_path / "far.json"
         path.write_text(json.dumps({"tau1_ps": 5}))
         rc = main(["--scenario", str(path), "--out", str(tmp_path / "run"),
                    "pipeline"])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_pipeline_seeding_failure(self, tmp_path, capsys):
+        # Extraction finds m = 6 at 0.37 ps, but a scan over +-0.1 ps is too
+        # short to resolve any beat, so the fit's seeding fails.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"tau1_ps": 0.37, "scan": {
+            "tau2_min_ps": -0.1, "tau2_max_ps": 0.1}}))
+        out = tmp_path / "run"
+        rc = main(["--scenario", str(path), "--out", str(out), "pipeline"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "found 0 significant spectral peaks, need 3" in err
+        assert "Traceback" not in err
+        assert (out / "spectrum_bins.json").exists()
+        assert (out / "scan.csv").exists()
+        assert not (out / "fit.json").exists()
 
     def test_default_scenario_pipeline(self, tmp_path):
         out = tmp_path / "run"

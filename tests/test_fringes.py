@@ -448,8 +448,8 @@ def poisson_scan(model, tau1, counts_per_point, seed):
 
 def finite_difference_fit(monkeypatch, scan, m):
     """The same fit with the solver's central-difference Jacobian."""
-    def residual_only(residual, x0, options=None, jacobian=None):
-        return levenberg_marquardt(residual, x0, options)
+    def residual_only(residual, x0, max_iterations, jacobian=None):
+        return levenberg_marquardt(residual, x0, max_iterations)
 
     with monkeypatch.context() as patch:
         patch.setattr(fringes, "levenberg_marquardt", residual_only)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BENCH_DELAYS_PS, live_cells
 
+from hombeat.cli import main
 from hombeat.density import build_restricted_dm, eof_lower_bound, eof_reference_comparison
 from hombeat.fringes import FringeScan, fit_fringe_scan, fringe_model_eval, synth_scan
 from hombeat.io import (
@@ -106,19 +107,68 @@ class TestScanCsv:
         write_scan_csv(scan, probs, b, seed=5)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_float_columns_survive_repr_round_trip(self, tmp_path_factory, seed):
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 40),
+           fmt=st.sampled_from(["csv", "json"]), counting=st.booleans(),
+           scan_seed=st.none() | st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_float_columns_survive_repr_round_trip(self, tmp_path_factory, seed,
+                                                   n, fmt, counting, scan_seed):
+        # Both encodings, counting and noiseless: every column reads back
+        # exactly, and writing what was read gives the same bytes.
         rng = np.random.default_rng(seed)
-        n = 5
         tau2 = np.sort(rng.uniform(-5.0, 5.0, n))
         probs = rng.uniform(0.0, 1.0, n)
-        scan = FringeScan(tau2, probs)
-        path = str(tmp_path_factory.mktemp("rt") / "s.csv")
-        write_scan_csv(scan, probs, path)
-        loaded, model_col = read_scan(path)
+        values = rng.uniform(0.0, 2000.0, n) if counting else probs
+        scan = FringeScan(tau2, values, counts_per_point=1000 if counting else 0)
+        write = write_scan_json if fmt == "json" else write_scan_csv
+        d = tmp_path_factory.mktemp("rt")
+        a, b = str(d / f"a.{fmt}"), str(d / f"b.{fmt}")
+        write(scan, probs, a, seed=scan_seed)
+        loaded, model_col = read_scan(a)
+        assert loaded.counts_per_point == scan.counts_per_point
         assert np.array_equal(loaded.tau2_ps, tau2)
+        assert np.array_equal(loaded.values, values)
         assert np.array_equal(model_col, probs)
+        write(loaded, model_col, b, seed=scan_seed)
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+
+class TestOneScanRule:
+    """counts_per_point >= 1 if and only if all four columns are present,
+    in both encodings, and every row has one field per column."""
+
+    ROWS = [(-0.1, 0.5, 480.0), (0.0, 0.4, 410.0), (0.1, 0.5, 520.0)]
+
+    @staticmethod
+    def scan_text(fmt, counts_per_point, counting, extra_field=False):
+        tau2, probs, counts = (list(c) for c in zip(*TestOneScanRule.ROWS))
+        columns = {"tau2_ps": tau2, "probability_model": probs}
+        if counting:
+            columns.update(counts=counts, sigma=[c ** 0.5 for c in counts])
+        if fmt == "json":
+            probs += [0.5] * extra_field
+            return json.dumps({"schema_version": 1,
+                               "counts_per_point": counts_per_point, **columns})
+        rows = [",".join(map(repr, r)) for r in zip(*columns.values())]
+        rows[-1] += ",0.5" * extra_field
+        return "\n".join([f"# counts_per_point={counts_per_point}",
+                          ",".join(columns), *rows]) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("counts_per_point, counting, extra_field", [
+        (5, False, False),   # counting header, noiseless columns
+        (0, True, False),    # noiseless header, counting columns
+        (0, False, True),    # a row (JSON: a column) one value too long
+    ])
+    def test_rejected_in_both_encodings(self, tmp_path, capsys, fmt,
+                                        counts_per_point, counting, extra_field):
+        path = tmp_path / f"scan.{fmt}"
+        path.write_text(self.scan_text(fmt, counts_per_point, counting,
+                                       extra_field))
+        with pytest.raises(IOFormatError):
+            read_scan(str(path))
+        assert main(["--out", str(tmp_path / "run"), "fit", str(path)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestScanCsvErrors:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hombeat import LMOptions, LMResult, levenberg_marquardt
-from hombeat.lm import _clipped_pinv
+from hombeat import LMResult, levenberg_marquardt
+from hombeat.lm import GRADIENT_TOL, _clipped_pinv
 
 
 def quadratic_residual(design, target):
@@ -81,8 +81,7 @@ class TestRobustness:
         def residual(x):
             return x[0] * np.exp(-x[1] * t) - data
 
-        res = levenberg_marquardt(residual, [20.0, 5.0],
-                                  LMOptions(max_iterations=1))
+        res = levenberg_marquardt(residual, [20.0, 5.0], max_iterations=1)
         assert not res.converged
         assert "iteration limit" in res.message
 
@@ -107,12 +106,11 @@ class TestDiagnostics:
     def test_converged_gradient_below_tolerance(self):
         design = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         target = np.array([0.2, -0.4, 0.1])
-        opts = LMOptions()
         res = levenberg_marquardt(quadratic_residual(design, target),
-                                  np.zeros(2), opts)
+                                  np.zeros(2))
         assert res.converged
         assert res.message == "gradient tolerance reached"
-        assert res.gradient_norm < opts.gradient_tol
+        assert res.gradient_norm < GRADIENT_TOL
 
     def test_jacobian_matches_halved_stencil(self):
         # central finite differences at the default step agree with an
@@ -190,7 +188,7 @@ class TestCovarianceAtReturnedParameters:
         noise = 0.05 * np.random.default_rng(3).normal(size=DECAY_T.size)
         residual = decay_residual(2.0 * np.exp(-0.7 * DECAY_T) + noise)
         res = levenberg_marquardt(residual, [1.0, 0.3],
-                                  LMOptions(max_iterations=max_iterations),
+                                  max_iterations=max_iterations,
                                   jacobian=decay_jacobian if analytic else None)
         assert res.n_iterations >= 1
         jac = decay_jacobian(res.params)

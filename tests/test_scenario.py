@@ -122,20 +122,15 @@ class TestFitConfig:
             with pytest.raises(ScenarioError, match="even"):
                 FitConfig(m=bad)
 
-    def test_tolerance_ranges(self):
-        with pytest.raises(ScenarioError, match="gradient_tol"):
-            FitConfig(gradient_tol=0.0)
-        with pytest.raises(ScenarioError, match="cost_tol"):
-            FitConfig(cost_tol=2.0)
+    def test_max_iterations_range(self):
         with pytest.raises(ScenarioError, match="max_iterations"):
             FitConfig(max_iterations=0)
 
-    def test_lm_options_carry_settings(self):
-        opts = FitConfig(max_iterations=123, gradient_tol=1e-6,
-                         cost_tol=1e-9).lm_options()
-        assert opts.max_iterations == 123
-        assert opts.gradient_tol == 1e-6
-        assert opts.cost_tol == 1e-9
+    @pytest.mark.parametrize("key", ["gradient_tol", "cost_tol"])
+    def test_lm_tolerances_are_not_scenario_keys(self, key):
+        # The stop rule's tolerances are hombeat.lm constants.
+        with pytest.raises(ScenarioError, match="unknown key"):
+            scenario_from_dict({"fit": {key: 1e-6}})
 
 
 class TestAnalysisConfig:
