@@ -31,6 +31,7 @@ from .io import (
     IOFormatError,
     SCHEMA_VERSION,
     read_fit_json,
+    read_map,
     read_scan,
     write_bundle,
     write_dm_json,
@@ -72,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="sampled-data file format (default csv)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", help="2D coincidence spectrum + extracted bins")
+    p_spec = sub.add_parser("spectrum", help="2D coincidence spectrum + extracted bins")
+    p_spec.add_argument("map_file", nargs="?", help="map file to extract from "
+                        "(default: simulate it, write <out>/map.<format>)")
     sub.add_parser("scan", help="second-stage delay scan")
     p_fit = sub.add_parser("fit", help="fit the fringe model to a scan file")
     p_fit.add_argument("scan_file", nargs="?",
@@ -117,20 +120,23 @@ def _extraction_sidecar(scenario: Scenario, extraction, predicted) -> dict:
     }
 
 
-def cmd_spectrum(scenario: Scenario, out_dir: str, fmt: str):
-    """Simulate and write the 2D map; extract and write the bin sidecar."""
-    map_ = coincidence_spectrum(scenario.model, scenario.tau1_ps)
+def cmd_spectrum(scenario: Scenario, out_dir: str, fmt: str,
+                 map_file: str | None = None):
+    """Simulate and write the 2D map, or read it from map_file; extract and
+    write the bin sidecar."""
+    map_ = (read_map(map_file) if map_file
+            else coincidence_spectrum(scenario.model, scenario.tau1_ps))
     extraction = extract_bins_from_map(map_, threshold=BIN_THRESHOLD)
     predicted = predict_bins(scenario.model, scenario.tau1_ps,
                              threshold=BIN_THRESHOLD)
-    map_path = os.path.join(out_dir, f"map.{fmt}")
-    if fmt == "json":
-        write_map_json(map_, map_path)
-    else:
-        write_map_csv(map_, map_path)
-    sidecar_path = os.path.join(out_dir, "spectrum_bins.json")
-    write_json(sidecar_path, _extraction_sidecar(scenario, extraction, predicted))
-    return {"map": map_path, "spectrum_bins": sidecar_path}, extraction
+    outputs = {}
+    if not map_file:
+        outputs["map"] = os.path.join(out_dir, f"map.{fmt}")
+        (write_map_json if fmt == "json" else write_map_csv)(map_, outputs["map"])
+    outputs["spectrum_bins"] = os.path.join(out_dir, "spectrum_bins.json")
+    write_json(outputs["spectrum_bins"],
+               _extraction_sidecar(scenario, extraction, predicted))
+    return outputs, extraction
 
 
 def cmd_scan(scenario: Scenario, out_dir: str, fmt: str):
@@ -185,7 +191,7 @@ def _run(args) -> int:
     fmt = args.format
 
     if args.command == "spectrum":
-        outputs, _ = cmd_spectrum(scenario, out_dir, fmt)
+        outputs, _ = cmd_spectrum(scenario, out_dir, fmt, args.map_file)
     elif args.command == "scan":
         outputs, _ = cmd_scan(scenario, out_dir, fmt)
     elif args.command == "fit":
@@ -275,3 +281,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -4,20 +4,12 @@ Every file carries a schema version. Numeric text uses repr (shortest
 round-trip) so identical inputs produce byte-identical files; nothing here
 writes timestamps except the run bundle, which is explicitly excluded from
 the byte-determinism contract.
-
-The map writers skip json.dumps and never read the dense view: each row
-starts from a per-idler +0.0 template ("{idler},0.0" in CSV, "0.0" in JSON)
-and takes the repr of each distinct live stored value (not +0.0) once, then
-is joined and written on its own. TestMapWriterOracles in tests/test_io.py
-holds them byte-equal to json.dumps and a per-cell CSV loop.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable
-from itertools import chain
 
 import numpy as np
 
@@ -32,6 +24,7 @@ __all__ = [
     "write_json",
     "write_map_csv",
     "write_map_json",
+    "read_map",
     "write_scan_csv",
     "write_scan_json",
     "read_scan",
@@ -53,41 +46,12 @@ class IOFormatError(RuntimeError):
     """An input file does not match the expected format."""
 
 
-def _map_rows(map_, heads: list[str]) -> list[list[str]]:
-    """Cell texts of each map row, heads[j] + repr(value), from its cells:
-    the +0.0 template, shared by rows with no live cell (-0.0, NaN, inf live)."""
-    live = (map_.values != 0.0) | np.signbit(map_.values)
-    distinct, inverse = np.unique(map_.values[live], return_inverse=True)
-    texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
-    head = np.array(heads, dtype=object)
-    row, col = map_.rows[live], map_.cols[live]
-    template = [f"{h}0.0" for h in heads]
-    rows = [template] * len(map_.signal_nm)
-    for i, j, text in zip(row.tolist(), col.tolist(),
-                          (head[col] + texts[inverse]).tolist()):
-        if rows[i] is template:
-            rows[i] = template.copy()
-        rows[i][j] = text
-    return rows
-
-
-def _reprs(values) -> list[str]:
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
-
-
-def _json_array(items: list[str], depth: int = 1) -> str:
-    pad = "\n" + "  " * depth
-    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
-
-
-def _write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or its chunks in turn, as UTF-8 over the file's old bytes,
-    then cut its tail: opening with truncation makes ext4 start writeback on
-    close (auto_da_alloc), which blocks for as long as a busy disk takes.
-    Chunk by chunk, a map is never held whole, as text or as bytes."""
+def _write_text(path: str, text: str) -> None:
+    """Write text as UTF-8 over the file's old bytes, then cut its tail:
+    opening with truncation makes ext4 start writeback on close
+    (auto_da_alloc), which blocks for as long as a busy disk takes."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        for chunk in [text] if isinstance(text, str) else text:
-            fh.write(chunk.encode("utf-8"))
+        fh.write(text.encode("utf-8"))
         fh.truncate()
 
 
@@ -97,29 +61,78 @@ def write_json(path: str, payload: dict) -> None:
     _write_text(path, text + "\n")
 
 
+# A map file of schema 2 states both axes once, then one row per stored
+# cell; schema 1 listed every cell of the grid.
+MAP_SCHEMA_VERSION = 2
+_MAP_AXES = ["signal_nm", "idler_nm"]
+_MAP_COLUMNS = {"1": _MAP_AXES + ["intensity"],
+                "2": ["signal_index", "idler_index", "intensity"]}
+
+
+def _map_table(map_: JointSpectrumMap) -> dict:
+    """Both axes, then the stored cells' columns, as named lists; both map
+    writers format these after the schema_version."""
+    arrays = (map_.signal_nm, map_.idler_nm, map_.rows, map_.cols, map_.values)
+    return dict(zip(_MAP_AXES + _MAP_COLUMNS["2"],
+                    (np.asarray(a).tolist() for a in arrays)))
+
+
 def write_map_csv(map_: JointSpectrumMap, path: str) -> None:
-    """Row-major 2D map: one line per (signal, idler) sample."""
-    heads = [f"{v}," for v in _reprs(map_.idler_nm)]
-    leads = [f"\n{s}," for s in _reprs(map_.signal_nm)]
-    rows = (lead + lead.join(cells)
-            for lead, cells in zip(leads, _map_rows(map_, heads))
-            if cells)
-    header = f"# schema_version={SCHEMA_VERSION}\nsignal_nm,idler_nm,intensity"
-    _write_text(path, chain([header], rows, ["\n"]))
+    """schema_version and each axis (comma-separated) as comments, then the
+    column names, then one row per stored cell."""
+    table = _map_table(map_)
+    lines = [f"# schema_version={MAP_SCHEMA_VERSION}"]
+    lines += [f"# {a}={','.join(map(repr, table.pop(a)))}" for a in _MAP_AXES]
+    lines.append(",".join(table))
+    lines += map(",".join, zip(*(map(repr, c) for c in table.values())))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_map_json(map_: JointSpectrumMap, path: str) -> None:
-    arrays = (map_.idler_nm, map_.values, map_.signal_nm)
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("Out of range float values are not JSON compliant")
-    rows = [_json_array(r, 2) for r in _map_rows(map_, [""] * len(map_.idler_nm))]
-    # The json.dumps(indent=2, sort_keys=True) text, the intensity row by row.
-    seps = ["[\n    "] + [",\n    "] * (len(rows) - 1)
-    _write_text(path, chain(
-        [f'{{\n  "idler_nm": {_json_array(_reprs(map_.idler_nm))},\n  "intensity": '],
-        chain(*zip(seps, rows), ["\n  ]"]) if rows else ["[]"],
-        [f',\n  "schema_version": {SCHEMA_VERSION},\n  "signal_nm": '
-         f'{_json_array(_reprs(map_.signal_nm))}\n}}\n']))
+    write_json(path, {"schema_version": MAP_SCHEMA_VERSION, **_map_table(map_)})
+
+
+def read_map(path: str) -> JointSpectrumMap:
+    """Load a map file (CSV or JSON) of either schema into the map of its
+    stored cells; of a schema-1 grid, every cell that is not +0.0."""
+    try:
+        fields = (_load_json(path, "map") if path.endswith(".json")
+                  else _read_map_csv(path))
+        version, axes = str(fields["schema_version"]), [fields[a] for a in _MAP_AXES]
+        if version == "2":
+            return JointSpectrumMap(*axes, *(fields[n] for n in _MAP_COLUMNS["2"]))
+        if version != "1":
+            raise IOFormatError(f"unknown map schema_version {version!r}")
+        grid = np.asarray(fields["intensity"], dtype=float)
+        if grid.shape != (len(axes[0]), len(axes[1])):
+            raise IOFormatError(f"intensity grid is {grid.shape}, axes are "
+                                f"{len(axes[0])} x {len(axes[1])}")
+        rows, cols = np.nonzero((grid != 0.0) | np.signbit(grid))
+        return JointSpectrumMap(*axes, rows, cols, grid[rows, cols])
+    except (KeyError, TypeError) as exc:
+        raise IOFormatError(f"map file misses required fields: {exc}") from exc
+    except ValueError as exc:
+        raise IOFormatError(f"inconsistent map data: {exc}") from exc
+
+
+def _read_map_csv(path: str) -> dict:
+    """A CSV map as the fields of its JSON twin: a schema-1 file's cell
+    rows become the two axes and the grid."""
+    header, names, columns = _read_csv_table(path, "map")
+    version = header.get("schema_version")
+    if names != _MAP_COLUMNS.get(version):
+        raise IOFormatError(f"unknown map schema_version {version!r} or "
+                            f"columns {names}")
+    if version == "2":
+        axes = {a: np.array(header[a].split(","), dtype=float) for a in _MAP_AXES}
+        return {**header, **axes, **dict(zip(names, columns))}
+    # Schema 1: every cell of the grid, row-major over the signal axis.
+    signal, idler = (np.unique(c) for c in columns[:2])
+    grid = np.stack(np.meshgrid(signal, idler, indexing="ij")).reshape(2, -1)
+    if not np.array_equal(columns[:2], grid):
+        raise IOFormatError("schema-1 map is not a row-major signal x idler grid")
+    return {**header, "signal_nm": signal, "idler_nm": idler,
+            "intensity": columns[2].reshape(signal.size, idler.size)}
 
 
 # The scan file's columns, in file order: a counting scan (counts_per_point
@@ -160,7 +173,7 @@ def write_scan_json(scan: FringeScan, model_probs: np.ndarray, path: str,
 def read_scan(path: str):
     """Load a scan file (CSV or JSON). Returns (FringeScan, model_column)."""
     header, names, columns = (_read_scan_json if path.endswith(".json")
-                              else _read_scan_csv)(path)
+                              else _read_csv_table)(path)
     return _scan_from_table(header, names, columns)
 
 
@@ -195,12 +208,16 @@ def _scan_from_table(header: dict, names: list[str], columns):
     return scan, model_probs
 
 
-def _read_scan_json(path: str):
+def _load_json(path: str, kind: str):
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise IOFormatError(f"scan file is not valid JSON: {exc}") from exc
+            raise IOFormatError(f"{kind} file is not valid JSON: {exc}") from exc
+
+
+def _read_scan_json(path: str):
+    data = _load_json(path, "scan")
     try:
         names = _SCAN_COLUMNS[:2] + [n for n in _SCAN_COLUMNS[2:] if n in data]
         return data, names, [data[name] for name in names]
@@ -208,9 +225,10 @@ def _read_scan_json(path: str):
         raise IOFormatError(f"scan file misses required fields: {exc}") from exc
 
 
-def _read_scan_csv(path: str):
+def _read_csv_table(path: str, kind: str = "scan"):
     """``# key=value`` comments, the column names, then the numeric block,
-    parsed whole by numpy: a row with too few or too many fields fails."""
+    parsed whole by numpy: a row with too few or too many fields fails.
+    Returns the header fields, the column names and the columns."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header, names = {}, None
@@ -223,15 +241,17 @@ def _read_scan_csv(path: str):
         elif line:
             names, rows = line.split(","), lines[k + 1:]
             break
-    if names is None or not any(rows):
-        raise IOFormatError("scan file has no data rows")
+    if names is None:
+        raise IOFormatError(f"{kind} file has no data rows")
+    if not any(rows):
+        return header, names, np.empty((len(names), 0))
     try:
         block = np.loadtxt(rows, delimiter=",", ndmin=2)
         if block.shape[1] != len(names):
             raise ValueError(f"{block.shape[1]} fields per row, "
                              f"{len(names)} column names")
     except ValueError as exc:
-        raise IOFormatError(f"malformed scan row: {exc}") from exc
+        raise IOFormatError(f"malformed {kind} row: {exc}") from exc
     return header, names, block.T
 
 
@@ -265,11 +285,7 @@ def write_fit_json(fit: FitResult, path: str) -> None:
 
 def read_fit_json(path: str) -> tuple[FringeModelParams, dict]:
     """Load fitted parameters and metadata back from a fit file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IOFormatError(f"fit file is not valid JSON: {exc}") from exc
+    data = _load_json(path, "fit")
     try:
         pairs = tuple(
             FringePairParams(weight=p["weight"], detuning_thz=p["detuning_thz"],

@@ -121,12 +121,18 @@ class JointSpectrumMap:
 
     def __post_init__(self):
         for name in ("signal_nm", "idler_nm", "rows", "cols", "values"):
-            dtype = np.intp if name in ("rows", "cols") else float
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+            given = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):
+                value = given.astype(np.intp if name in ("rows", "cols") else float,
+                                    copy=False)
+            if value.dtype == np.intp and np.any(value != given):
+                raise ValueError(f"{name} must hold integer cell indices")
+            object.__setattr__(self, name, value)
         s, i, r, c, v = (self.signal_nm, self.idler_nm, self.rows, self.cols,
                          self.values)
-        if np.any(np.diff(s) <= 0) or np.any(np.diff(i) <= 0):
-            raise ValueError("wavelength axes must be strictly increasing")
+        if not all(a.ndim == 1 and np.isfinite(a).all() and (np.diff(a) > 0).all()
+                   for a in (s, i)):
+            raise ValueError("wavelength axes must be 1D, finite and strictly increasing")
         if not r.ndim == c.ndim == v.ndim == 1 or not r.size == c.size == v.size:
             raise ValueError("rows, cols and values must be 1D of one length")
         if np.any((r < 0) | (r >= s.size) | (c < 0) | (c >= i.size)):

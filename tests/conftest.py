@@ -7,6 +7,8 @@ they are computed once per session.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,28 @@ def live_cells(intensity) -> dict:
     z = np.asarray(intensity, dtype=float)
     rows, cols = np.nonzero((z != 0.0) | np.signbit(z))
     return {"rows": rows, "cols": cols, "values": z[rows, cols]}
+
+
+def reference_map_csv(map_) -> str:
+    """A schema-1 CSV map, every cell of the grid, by a per-cell loop: the
+    layout of map files written before schema 2."""
+    lines = ["# schema_version=1", "signal_nm,idler_nm,intensity"]
+    for i, s in enumerate(map_.signal_nm):
+        srep = repr(float(s))
+        row = map_.intensity[i]
+        for j, val in enumerate(map_.idler_nm):
+            lines.append(f"{srep},{repr(float(val))},{repr(float(row[j]))}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_map_json(map_) -> str:
+    """A schema-1 JSON map, the dense intensity, by json.dumps."""
+    return json.dumps({
+        "schema_version": 1,
+        "signal_nm": [float(v) for v in map_.signal_nm],
+        "idler_nm": [float(v) for v in map_.idler_nm],
+        "intensity": [[float(v) for v in row] for row in map_.intensity],
+    }, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def detunings(state_like) -> np.ndarray:

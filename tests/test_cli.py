@@ -1,10 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hombeat
+from conftest import BENCH_DELAYS_PS, reference_map_csv, reference_map_json
 from hombeat.cli import _build_parser, main
 
 
@@ -74,6 +79,95 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "grid frequencies must be positive" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def pipeline_runs(tmp_path_factory):
+    """Default pipelines at the four reference delays, in both formats."""
+    runs = {}
+    for tau1 in BENCH_DELAYS_PS:
+        d = tmp_path_factory.mktemp(f"pipeline-{tau1}")
+        scenario = d / "scenario.json"
+        scenario.write_text(json.dumps({"tau1_ps": tau1}))
+        for fmt in ("csv", "json"):
+            assert main(["--scenario", str(scenario), "--out", str(d / fmt),
+                         "--format", fmt, "pipeline"]) == 0
+            runs[tau1, fmt] = str(scenario), d / fmt
+    return runs
+
+
+class TestSpectrumFromMapFile:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_pipeline_map_gives_the_pipeline_bins(self, pipeline_runs, tmp_path,
+                                                  tau1, fmt):
+        scenario, run = pipeline_runs[tau1, fmt]
+        out = tmp_path / "again"
+        assert main(["--scenario", scenario, "--out", str(out), "spectrum",
+                     str(run / f"map.{fmt}")]) == 0
+        assert os.listdir(out) == ["spectrum_bins.json"]
+        assert read_bytes(out / "spectrum_bins.json") == read_bytes(
+            run / "spectrum_bins.json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_schema1_map_gives_the_pipeline_bins(self, pipeline_runs, spectrum_maps,
+                                                 tmp_path, tau1, fmt):
+        scenario, run = pipeline_runs[tau1, "csv"]
+        oracle = reference_map_json if fmt == "json" else reference_map_csv
+        v1 = tmp_path / f"v1.{fmt}"
+        v1.write_text(oracle(spectrum_maps[tau1]))
+        out = tmp_path / "again"
+        assert main(["--scenario", scenario, "--out", str(out), "spectrum",
+                     str(v1)]) == 0
+        assert os.listdir(out) == ["spectrum_bins.json"]
+        got, want = (json.loads((d / "spectrum_bins.json").read_text())
+                     for d in (out, run))
+        # A schema-1 grid cannot carry the map's three stored +0.0 cells, and
+        # the blocked sums behind tau1_estimate_ps and the center (so the
+        # lobe widths) round differently without them; the rest is equal.
+        pops = [(got, want, "tau1_estimate_ps"), (got, want, "center_wavelength_nm")]
+        pops += [(g, w, "lobe_fwhm_nm") for g, w in zip(got["pairs"], want["pairs"])]
+        for g, w, key in pops:
+            assert g.pop(key) == pytest.approx(w.pop(key), rel=1e-14, abs=0)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        None,
+        "# schema_version=2\n# signal_nm=800.0\n# idler_nm=810.0\n"
+        "signal_index,idler_index,intensity\n0,1,1.0\n",
+        "# schema_version=1\nsignal_nm,idler_nm,intensity\n800.0,810.0,oops\n",
+    ])
+    def test_missing_or_malformed_map_exits_4(self, tmp_path, capsys, text):
+        path = tmp_path / "map.csv"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "spectrum", str(path)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "spectrum_bins.json").exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_hombeat_cli(self, tmp_path):
+        src = str(Path(hombeat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "hombeat.cli", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+        out = tmp_path / "run"
+        done = run("--out", str(out), "spectrum")
+        assert done.returncode == 0, done.stderr
+        assert (out / "map.csv").exists()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"tau1_ps": 0.0}))
+        done = run("--scenario", str(bad), "--out", str(out), "scan")
+        assert done.returncode == 2
+        assert "configuration error" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestScanCommand:

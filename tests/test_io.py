@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BENCH_DELAYS_PS, live_cells
+from conftest import (BENCH_DELAYS_PS, live_cells, reference_map_csv,
+                      reference_map_json)
 
 from hombeat.cli import main
 from hombeat.density import build_restricted_dm, eof_lower_bound, eof_reference_comparison
@@ -15,6 +16,7 @@ from hombeat.io import (
     dm_to_dict,
     fit_result_to_dict,
     read_fit_json,
+    read_map,
     read_scan,
     report_to_dict,
     write_bundle,
@@ -347,59 +349,62 @@ class TestDensityAndReportJson:
         assert json.loads(open(path).read())["mode"] == "assumed-average"
 
 
+def assert_same_map(got, want):
+    """Axes and cells equal bit for bit (-0.0 is not +0.0), dtypes too."""
+    for name in ("signal_nm", "idler_nm", "rows", "cols", "values"):
+        a, b = getattr(got, name), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def as_schema1(map_):
+    """The map as a schema-1 grid carries it: its cells that are not +0.0.
+    A simulated map also stores three +0.0 cells (pump mass positive, value
+    0 or underflowed), which a grid cannot tell from unstored ones."""
+    return JointSpectrumMap(map_.signal_nm, map_.idler_nm,
+                            **live_cells(map_.intensity))
+
+
+def read_text(text, path):
+    path.write_text(text, encoding="utf-8")
+    return read_map(str(path))
+
+
+def round_trip(map_, path):
+    (write_map_json if path.suffix == ".json" else write_map_csv)(map_, str(path))
+    return read_map(str(path))
+
+
 class TestMapFiles:
+    """Schema 2: both axes once, then one row per stored cell."""
+
     def test_csv_layout(self, small_map, tmp_path):
         path = tmp_path / "map.csv"
         write_map_csv(small_map, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "# schema_version=1"
-        assert lines[1] == "signal_nm,idler_nm,intensity"
-        assert len(lines) == 2 + 24 * 24
-        # row-major: the first 24 rows share the first signal wavelength
-        first_signal = lines[2].split(",")[0]
-        assert all(l.split(",")[0] == first_signal for l in lines[2:26])
-        assert lines[26].split(",")[0] != first_signal
+        assert lines[0] == "# schema_version=2"
+        for line, axis in zip(lines[1:3], ("signal_nm", "idler_nm")):
+            values = getattr(small_map, axis).tolist()
+            assert line == f"# {axis}=" + ",".join(map(repr, values))
+        assert lines[3] == "signal_index,idler_index,intensity"
+        assert len(lines) == 4 + small_map.values.size
+        k = small_map.values.size // 2
+        assert lines[4 + k] == (f"{small_map.rows[k]},{small_map.cols[k]},"
+                                f"{float(small_map.values[k])!r}")
 
     def test_csv_values_round_trip_exactly(self, small_map, tmp_path):
-        path = tmp_path / "map.csv"
-        write_map_csv(small_map, str(path))
-        rows = [l.split(",") for l in path.read_text().splitlines()[2:]]
-        vals = np.array([float(r[2]) for r in rows]).reshape(24, 24)
-        assert np.array_equal(vals, small_map.intensity)
+        assert_same_map(round_trip(small_map, tmp_path / "map.csv"), small_map)
 
     def test_json_matches_csv_payload(self, small_map, tmp_path):
-        path = str(tmp_path / "map.json")
-        write_map_json(small_map, path)
-        data = json.loads(open(path).read())
-        assert np.array_equal(np.array(data["intensity"]), small_map.intensity)
-        assert np.array_equal(np.array(data["signal_nm"]), small_map.signal_nm)
-
-
-def _reference_map_csv(map_) -> str:
-    """The per-cell loop the CSV map writer replaced, kept as its oracle."""
-    lines = ["# schema_version=1", "signal_nm,idler_nm,intensity"]
-    for i, s in enumerate(map_.signal_nm):
-        srep = repr(float(s))
-        row = map_.intensity[i]
-        for j, val in enumerate(map_.idler_nm):
-            lines.append(f"{srep},{repr(float(val))},{repr(float(row[j]))}")
-    return "\n".join(lines) + "\n"
-
-
-def _reference_map_json(map_) -> str:
-    """The json.dumps text the JSON map writer must reproduce."""
-    return json.dumps({
-        "schema_version": 1,
-        "signal_nm": [float(v) for v in map_.signal_nm],
-        "idler_nm": [float(v) for v in map_.idler_nm],
-        "intensity": [[float(v) for v in row] for row in map_.intensity],
-    }, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _written(writer, map_, path) -> str:
-    writer(map_, str(path))
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+        path = tmp_path / "map.json"
+        write_map_json(small_map, str(path))
+        data = json.loads(path.read_text())
+        assert data["schema_version"] == 2
+        assert data["signal_nm"] == small_map.signal_nm.tolist()
+        assert data["idler_index"] == small_map.cols.tolist()
+        assert data["intensity"] == small_map.values.tolist()
+        assert_same_map(read_map(str(path)),
+                        round_trip(small_map, tmp_path / "map.csv"))
 
 
 # Every repr form: -0.0, a subnormal, exponent below 1e-4 and from 1e16 up,
@@ -408,28 +413,43 @@ _HAND_VALUES = [[-0.0, 5e-324, 1e-05], [1e16, 1.0, 0.0]]
 
 
 class TestMapWriterOracles:
+    """Both writers and the schema-1 oracles (every grid cell, as map files
+    were written before schema 2) decode to the map bit for bit; a grid
+    keeps the cells that are not +0.0."""
+
     @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
     def test_csv_equals_per_cell_loop(self, spectrum_maps, tau1, tmp_path):
         map_ = spectrum_maps[tau1]
-        assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
-            _reference_map_csv(map_))
+        v1 = read_text(reference_map_csv(map_), tmp_path / "v1.csv")
+        assert_same_map(v1, as_schema1(map_))
+        assert v1.intensity.tobytes() == map_.intensity.tobytes()
+        assert_same_map(round_trip(map_, tmp_path / "map.csv"), map_)
+        assert (tmp_path / "map.csv").stat().st_size * 100 < (
+            tmp_path / "v1.csv").stat().st_size
 
     @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
     def test_json_equals_json_dumps(self, spectrum_maps, tau1, tmp_path):
         map_ = spectrum_maps[tau1]
-        assert _written(write_map_json, map_, tmp_path / "map.json") == (
-            _reference_map_json(map_))
+        v1 = read_text(reference_map_json(map_), tmp_path / "v1.json")
+        assert_same_map(v1, as_schema1(map_))
+        assert v1.intensity.tobytes() == map_.intensity.tobytes()
+        assert_same_map(round_trip(map_, tmp_path / "map.json"), map_)
+        assert (tmp_path / "map.json").stat().st_size * 10 < (
+            tmp_path / "v1.json").stat().st_size
 
     def test_hand_built_map_keeps_every_repr(self, tmp_path):
         map_ = JointSpectrumMap(signal_nm=np.array([5e-324, 1e16]),
                                 idler_nm=np.array([-0.0, 1e-05, 1.0]),
                                 **live_cells(_HAND_VALUES))
-        csv_text = _written(write_map_csv, map_, tmp_path / "map.csv")
-        assert csv_text == _reference_map_csv(map_)
-        assert "5e-324,-0.0,-0.0\n" in csv_text
-        assert "1e+16,1.0,0.0\n" in csv_text
-        assert _written(write_map_json, map_, tmp_path / "map.json") == (
-            _reference_map_json(map_))
+        for name, text in (("v1.csv", reference_map_csv(map_)),
+                           ("v1.json", reference_map_json(map_))):
+            assert_same_map(read_text(text, tmp_path / name), map_)
+        for name in ("map.csv", "map.json"):
+            assert_same_map(round_trip(map_, tmp_path / name), map_)
+        csv_text = (tmp_path / "map.csv").read_text()
+        assert "# signal_nm=5e-324,1e+16\n# idler_nm=-0.0,1e-05,1.0\n" in csv_text
+        assert csv_text.endswith("\n0,0,-0.0\n0,1,5e-324\n0,2,1e-05\n"
+                                 "1,0,1e+16\n1,1,1.0\n")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell(self, bad, tmp_path):
@@ -437,27 +457,26 @@ class TestMapWriterOracles:
         intensity[1, 2] = bad
         map_ = SimpleNamespace(signal_nm=np.array([800.0, 801.0]),
                                idler_nm=np.array([810.0, 811.0, 812.0]),
-                               intensity=intensity, **live_cells(intensity))
-        assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
-            _reference_map_csv(map_))
-        with pytest.raises(ValueError):
-            _reference_map_json(map_)
+                               **live_cells(intensity))
         with pytest.raises(ValueError):
             write_map_json(map_, str(tmp_path / "map.json"))
+        write_map_csv(map_, str(tmp_path / "map.csv"))
+        assert f"1,2,{bad!r}\n" in (tmp_path / "map.csv").read_text()
+        with pytest.raises(IOFormatError, match="finite"):
+            read_map(str(tmp_path / "map.csv"))
 
     def test_non_finite_axis_rejected_in_json(self, tmp_path):
         map_ = SimpleNamespace(signal_nm=np.array([800.0, np.inf]),
                                idler_nm=np.array([810.0]),
-                               intensity=np.zeros((2, 1)),
                                **live_cells(np.zeros((2, 1))))
         with pytest.raises(ValueError):
             write_map_json(map_, str(tmp_path / "map.json"))
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.integers(0, 3), cols=st.integers(0, 3),
-           data=st.data())
+    @given(rows=st.integers(1, 3), cols=st.integers(1, 3), data=st.data())
     def test_any_small_map_matches_both_oracles(self, rows, cols, data,
                                                 tmp_path_factory):
+        # A map the constructor refuses is refused as a file too (exit 4).
         tmp_path = tmp_path_factory.mktemp("map")
 
         def floats(n):
@@ -466,15 +485,94 @@ class TestMapWriterOracles:
         intensity = floats(rows * cols).reshape(rows, cols)
         map_ = SimpleNamespace(signal_nm=floats(rows), idler_nm=floats(cols),
                                intensity=intensity, **live_cells(intensity))
-        assert _written(write_map_csv, map_, tmp_path / "map.csv") == (
-            _reference_map_csv(map_))
+        texts = {"v1.csv": reference_map_csv(map_)}
         try:
-            want = _reference_map_json(map_)
+            texts["v1.json"] = reference_map_json(map_)
         except ValueError:
-            with pytest.raises(ValueError):
-                write_map_json(map_, str(tmp_path / "map.json"))
+            pass
+        try:
+            want = JointSpectrumMap(map_.signal_nm, map_.idler_nm, map_.rows,
+                                    map_.cols, map_.values)
+        except ValueError:
+            for name, text in texts.items():
+                with pytest.raises(IOFormatError):
+                    read_text(text, tmp_path / name)
         else:
-            assert _written(write_map_json, map_, tmp_path / "map.json") == want
+            for name, text in texts.items():
+                assert_same_map(read_text(text, tmp_path / name), want)
+            for name in ("map.csv", "map.json"):
+                assert_same_map(round_trip(want, tmp_path / name), want)
+
+
+class TestMapReaderErrors:
+    """Every malformed map file raises IOFormatError, in both encodings."""
+
+    CELLS = {"signal_index": [0, 0, 1], "idler_index": [0, 1, 1],
+             "intensity": [0.5, 1.0, 0.25]}
+
+    @staticmethod
+    def v2_text(fmt, schema_version=2, names=None, **cells):
+        axes = {"signal_nm": [800.0, 801.0], "idler_nm": [810.0, 811.0]}
+        cells = {**TestMapReaderErrors.CELLS, **cells}
+        if names:
+            cells = dict(zip(names, cells.values()))
+        if fmt == "json":
+            return json.dumps({"schema_version": schema_version, **axes, **cells})
+        lines = [f"# schema_version={schema_version}"]
+        lines += [f"# {k}={','.join(map(repr, v))}" for k, v in axes.items()]
+        lines.append(",".join(cells))
+        lines += map(",".join, zip(*(map(repr, c) for c in cells.values())))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_valid_text_reads(self, tmp_path, fmt):
+        map_ = read_text(self.v2_text(fmt), tmp_path / f"map.{fmt}")
+        assert map_.intensity.tolist() == [[0.5, 1.0], [0.0, 0.25]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("change, match", [
+        ({"schema_version": 3}, "schema_version"),
+        ({"signal_index": [0, 0, 2]}, "outside the axes"),
+        ({"idler_index": [0, -1, 1]}, "outside the axes"),
+        ({"idler_index": [0, 0, 1]}, "row-major"),
+        ({"signal_index": [1, 0, 0]}, "row-major"),
+        ({"intensity": [0.5, -1.0, 0.25]}, "non-negative"),
+        ({"intensity": [0.5, float("nan"), 0.25]}, "finite"),
+        ({"idler_index": [0, 0.5, 1]}, "integer"),
+        ({"names": ["signal_nm", "idler_nm", "intensity"]}, "columns|required"),
+        ({"names": ["row", "col", "intensity"]}, "columns|required"),
+    ])
+    def test_rejected(self, tmp_path, fmt, change, match):
+        path = tmp_path / f"map.{fmt}"
+        path.write_text(self.v2_text(fmt, **change))
+        with pytest.raises(IOFormatError, match=match):
+            read_map(str(path))
+
+    @pytest.mark.parametrize("drop", [0, 1, 300, 575])
+    def test_schema1_csv_missing_a_grid_row(self, small_map, tmp_path, drop):
+        lines = reference_map_csv(small_map).splitlines()
+        del lines[2 + drop]
+        with pytest.raises(IOFormatError, match="grid"):
+            read_text("\n".join(lines) + "\n", tmp_path / "v1.csv")
+
+    def test_schema1_json_grid_must_match_the_axes(self, small_map, tmp_path):
+        doc = json.loads(reference_map_json(small_map))
+        doc["intensity"] = doc["intensity"][:-1]
+        with pytest.raises(IOFormatError, match="grid"):
+            read_text(json.dumps(doc), tmp_path / "v1.json")
+
+    @pytest.mark.parametrize("name, text, match", [
+        ("map.json", "{oops", "not valid JSON"),
+        ("map.json", json.dumps({"schema_version": 2, "signal_nm": [1.0]}),
+         "required fields"),
+        ("map.csv", "# schema_version=2\n# signal_nm=800.0\n"
+                    "signal_index,idler_index,intensity\n", "required fields"),
+        ("map.csv", "# schema_version=2\n# signal_nm=800.0\n# idler_nm=810.0\n"
+                    "signal_index,idler_index,intensity\n0,0\n", "malformed map row"),
+    ])
+    def test_malformed_file(self, tmp_path, name, text, match):
+        with pytest.raises(IOFormatError, match=match):
+            read_text(text, tmp_path / name)
 
 
 class TestWriteJson:
