@@ -61,11 +61,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .spectral import (
-    BiphotonSpectrumModel,
-    JointSpectrumMap,
-    detuning_density,
-)
+from .spectral import BiphotonSpectrumModel, JointSpectrumMap
 from .units import (
     C_NM_PER_PS,
     FWHM_PER_SIGMA,
@@ -105,7 +101,6 @@ __all__ = [
     "coherence_time_from_delay",
     "coincidence_probability",
     "coincidence_spectrum",
-    "detuning_density",
     "detuning_profile",
     "eof_lower_bound",
     "eof_reference_comparison",

@@ -4,10 +4,10 @@ A first-stage delay tau1 leaves the anti-bunched spectrum
 2 rho(d) sin^2(pi d tau1), which vanishes at the comb zeros d = k/tau1.
 Each lobe between two zeros defines one pair of frequency bins at
 nu0 +- mu/2, mu its centroid. Prediction and extraction fill one lobe
-table (volume per side, first moment): from the source model by
-quadrature, or from a sampled 2D map whose cells are cut at the zeros of
-a tau1 read off the map itself. The module also carries the small
-bookkeeping around bin states (coherence time).
+table (volume per side, first moment): by quadrature of the model's
+``detuning_density``, or from a sampled 2D map whose cells are cut at
+the zeros of a tau1 read off the map itself. The module also carries
+the small bookkeeping around bin states (coherence time).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import BiphotonSpectrumModel, JointSpectrumMap, detuning_density
+from .spectral import BiphotonSpectrumModel, JointSpectrumMap
 from .units import C_NM_PER_PS, frequency_to_wavelength
 
 __all__ = [
@@ -117,11 +117,13 @@ def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
                  threshold: float = 0.6) -> DiscreteState:
     """Predict the discrete bin state produced by a first-stage delay.
 
-    Fills the lobe table from w(d) = g(d) (1 - cos(2 pi d tau1)). A lobe
-    centroid, the oscillation frequency a fringe measurement sees, sits
-    slightly below the bare comb line (2k+1)/(2 tau1), as the envelope
-    tilts the lobe. Both factors of w are even in d, so the two sides of a
-    lobe carry the same weight and every balance is exactly 0.5.
+    Fills the lobe table from w(d) = g(d) (1 - cos(2 pi d tau1)), g the
+    model's ``detuning_density``, for lobes k = 0 .. ceil(R tau1) with R
+    its ``detuning_reach_thz``. A lobe centroid, the oscillation frequency
+    a fringe measurement sees, sits slightly below the bare comb line
+    (2k+1)/(2 tau1), as the envelope tilts the lobe. Both factors of w are
+    even in d, so the two sides of a lobe carry the same weight and every
+    balance is exactly 0.5.
     """
     if not np.isfinite(tau1_ps):
         raise ValueError("tau1 must be finite")
@@ -131,8 +133,7 @@ def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
 
-    sig_d = model.sigma_detuning_thz
-    k = np.arange(max(2, int(np.ceil(6.0 * sig_d * tau1)) + 1))
+    k = np.arange(max(2, int(np.ceil(model.detuning_reach_thz * tau1)) + 1))
     vol = np.zeros(k.size)
     moment = np.zeros(k.size)
     # One Gauss-Legendre pass over all lobes at once. At fraction s of the
@@ -142,7 +143,7 @@ def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
         s = 0.5 * (x + 1.0)
         d = (k + s) / tau1
         share = (gl_weight * (1.0 - np.cos(2.0 * np.pi * s))
-                 * detuning_density(model, d))
+                 * model.detuning_density(d))
         vol += share
         moment += share * d
 

@@ -94,14 +94,21 @@ def fringe_model_eval(params: FringeModelParams, tau2_ps):
     with env the triangle 1 - |2 tau2 / tau_c| inside |tau2| <= tau_c / 2
     and zero outside. Continuous everywhere.
     """
-    t = np.asarray(tau2_ps, dtype=float)
-    env = np.clip(1.0 - np.abs(2.0 * t / params.coherence_time_ps), 0.0, None)
-    out = np.full_like(t, 0.5)
-    for p in params.pairs:
-        phi = np.deg2rad(p.phase_deg)
-        out = out - 0.5 * p.amplitude * np.cos(
-            2.0 * np.pi * p.detuning_thz * t + phi) * env
+    out = _fringe_sum(np.asarray(tau2_ps, dtype=float), params.coherence_time_ps,
+                      ((p.detuning_thz, p.amplitude, np.deg2rad(p.phase_deg))
+                       for p in params.pairs))
     return float(out) if np.isscalar(tau2_ps) else out
+
+
+def _fringe_sum(t: np.ndarray, tau_c, components) -> np.ndarray:
+    """The one fringe formula: 1/2 minus, per (mu, amplitude, phase_rad)
+    component, (amplitude / 2) cos(2 pi mu t + phase) under the triangle
+    envelope of width tau_c."""
+    env = np.clip(1.0 - np.abs(2.0 * t / tau_c), 0.0, None)
+    out = np.full_like(t, 0.5)
+    for mu, c, phi in components:
+        out = out - 0.5 * c * np.cos(2.0 * np.pi * mu * t + phi) * env
+    return out
 
 
 @dataclass(frozen=True)
@@ -288,14 +295,10 @@ def _pack(params: FringeModelParams) -> np.ndarray:
     return np.asarray(theta, dtype=float)
 
 
-def _unpack(theta: np.ndarray, n_pairs: int):
-    tau_c = float(np.exp(theta[0]))
-    comps = []
-    for j in range(n_pairs):
-        mu, z, phi = theta[1 + 3 * j: 4 + 3 * j]
-        c = _sigmoid(z)
-        comps.append((float(mu), float(c), float(np.rad2deg(phi) % 360.0)))
-    return tau_c, comps
+def _unpack(theta: np.ndarray):
+    comps = [(float(mu), float(_sigmoid(z)), float(np.rad2deg(phi) % 360.0))
+             for mu, z, phi in theta[1:].reshape(-1, 3)]
+    return float(np.exp(theta[0])), comps
 
 
 def _theta_model(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -305,15 +308,9 @@ def _theta_model(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     (detuning_thz, logit amplitude, phase_rad) per pair, where amplitude
     is the weight-visibility product.
     """
-    n_pairs = (theta.size - 1) // 3
-    tau_c = np.exp(theta[0])
-    env = np.clip(1.0 - np.abs(2.0 * tau2_ps / tau_c), 0.0, None)
-    out = np.full_like(tau2_ps, 0.5)
-    for j in range(n_pairs):
-        mu, z, phi = theta[1 + 3 * j: 4 + 3 * j]
-        c = _sigmoid(z)
-        out = out - 0.5 * c * np.cos(2.0 * np.pi * mu * tau2_ps + phi) * env
-    return out
+    return _fringe_sum(tau2_ps, np.exp(theta[0]),
+                       ((mu, _sigmoid(z), phi)
+                        for mu, z, phi in theta[1:].reshape(-1, 3)))
 
 
 def _theta_jacobian(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -398,7 +395,7 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
     # pair is unpacked as (-mu, -phi), with its covariance rows and columns.
     sign = np.ones(theta0.size)
     sign[1::3] = sign[3::3] = np.where(lm_res.params[1::3] < 0, -1.0, 1.0)
-    tau_c, comps = _unpack(lm_res.params * sign, n_pairs)
+    tau_c, comps = _unpack(lm_res.params * sign)
     order = np.argsort([c[0] for c in comps])
     comps = [comps[k] for k in order]
     amps = np.array([c[1] for c in comps])

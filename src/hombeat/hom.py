@@ -5,7 +5,9 @@ comb; the second delay tau2 produces spatial-beating fringes between the
 anti-bunched components. Every delay-domain probability here is a closed
 form in G(tau), the Fourier transform of the model's detuning density
 (``BiphotonSpectrumModel.detuning_coherence``), which is exact for any pump
-width. Only the wavelength-domain maps are sampled on a grid.
+width. Only the wavelength-domain maps are sampled on a grid: their span
+and the exact pump integral over each cell live here, and the rest of each
+cell's value is the model's ``phase_matching`` factor.
 """
 
 from __future__ import annotations
@@ -134,13 +136,13 @@ def _pump_cell_mass(nu_edges: np.ndarray, zp: float, sig_p: float):
 
 def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
                          detuning_factor) -> JointSpectrumMap:
-    """Wavelength-domain map of pump x envelope x detuning_factor(d).
+    """Wavelength-domain map of pump x phase matching x detuning_factor(d).
 
     The axes span nu0 +- _SPAN_SIGMAS single-photon standard deviations in
     n_points uniform wavelength steps. The narrow pump factor is integrated
     exactly over each cell (the map would otherwise alias badly for a
-    near-CW pump), while the slowly varying envelope and the caller-supplied
-    detuning factor are evaluated at cell centers.
+    near-CW pump), while the slowly varying ``model.phase_matching`` and the
+    caller-supplied detuning factor are evaluated at cell centers.
 
     Only the pump band is built (``_pump_cell_mass``), and the map stores
     just its cells of positive pump mass, in the band's row-major order;
@@ -175,11 +177,9 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
     # the per-cell quadrature error telescope away in the total mass.
     nu_c = 0.5 * (nu_edges[1:] + nu_edges[:-1])
     d = nu_c[i] - nu_c[j]
-    norm = 1.0 / (2.0 * np.pi * sig_p * sig1)
-    slow = norm * np.exp(-d * d / (8.0 * sig1**2))
-    return JointSpectrumMap(
-        signal_nm=lam, idler_nm=lam.copy(), rows=i, cols=j,
-        values=pump_mass[live] * slow * detuning_factor(d) / (step * step))
+    values = pump_mass[live] * model.phase_matching(d) * detuning_factor(d)
+    return JointSpectrumMap(signal_nm=lam, idler_nm=lam.copy(), rows=i, cols=j,
+                            values=values / (step * step))
 
 
 def jsi_map(model: BiphotonSpectrumModel,

@@ -208,12 +208,20 @@ def _scan_from_table(header: dict, names: list[str], columns):
     return scan, model_probs
 
 
-def _load_json(path: str, kind: str):
+def _read_text(path: str, kind: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a format error."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IOFormatError(f"{kind} file is not valid JSON: {exc}") from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise IOFormatError(f"{kind} file is not UTF-8 text: {exc}") from exc
+
+
+def _load_json(path: str, kind: str):
+    try:
+        return json.loads(_read_text(path, kind))
+    except json.JSONDecodeError as exc:
+        raise IOFormatError(f"{kind} file is not valid JSON: {exc}") from exc
 
 
 def _read_scan_json(path: str):
@@ -229,8 +237,7 @@ def _read_csv_table(path: str, kind: str = "scan"):
     """``# key=value`` comments, the column names, then the numeric block,
     parsed whole by numpy: a row with too few or too many fields fails.
     Returns the header fields, the column names and the columns."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, kind).splitlines()
     header, names = {}, None
     for k, line in enumerate(lines):
         line = line.strip()

@@ -135,26 +135,17 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in data:
         if key not in known:
             raise ScenarioError(f"unknown key '{key}' in scenario")
-    parts = {}
-    for name, cls in _SECTIONS.items():
-        parts[name] = _build_section(name, cls, data.get(name, {}))
-    tau1 = data.get("tau1_ps", 0.12)
+    parts = {name: _build_section(name, cls, data.get(name, {}))
+             for name, cls in _SECTIONS.items()}
+    tau1 = data.get("tau1_ps", Scenario.tau1_ps)
     if not isinstance(tau1, (int, float)) or isinstance(tau1, bool):
         raise ScenarioError("tau1_ps must be a number")
-    return Scenario(model=parts["model"], tau1_ps=float(tau1),
-                    scan=parts["scan"], fit=parts["fit"],
-                    analysis=parts["analysis"])
+    return Scenario(tau1_ps=float(tau1), **parts)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Plain-dict echo of a scenario, JSON-ready."""
-    return {
-        "tau1_ps": scenario.tau1_ps,
-        "model": asdict(scenario.model),
-        "scan": asdict(scenario.scan),
-        "fit": asdict(scenario.fit),
-        "analysis": asdict(scenario.analysis),
-    }
+    return asdict(scenario)
 
 
 def load_scenario(path: str) -> Scenario:

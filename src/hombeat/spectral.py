@@ -3,10 +3,12 @@
 The source model is a product of two Gaussians in ordinary frequency: a
 narrow pump factor in the sum frequency nu1+nu2 (energy conservation) and a
 broad phase-matching factor in the difference nu1-nu2. Everything downstream
-(coincidence spectra, fringe scans, bin prediction) integrates against this
-density. ``JointSpectrumMap`` holds a sampled wavelength-domain map as its
-live cells, which ``hombeat.hom`` builds on axes set by the model and the
-point count alone; its dense ``intensity`` is a view made on request.
+(coincidence spectra, fringe scans, bin prediction) asks the model class
+for its detuning factor: density, coherence, map factor and lobe reach, so
+a source of another shape is one subclass. ``JointSpectrumMap`` holds a
+sampled wavelength-domain map as its live cells, which ``hombeat.hom``
+builds on axes set by the model and the point count alone; its dense
+``intensity`` is a view made on request.
 """
 
 from __future__ import annotations
@@ -17,11 +19,7 @@ import numpy as np
 
 from .units import C_NM_PER_PS, FWHM_PER_SIGMA, wavelength_to_frequency
 
-__all__ = [
-    "BiphotonSpectrumModel",
-    "JointSpectrumMap",
-    "detuning_density",
-]
+__all__ = ["BiphotonSpectrumModel", "JointSpectrumMap"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,32 @@ class BiphotonSpectrumModel:
     @property
     def pump_sigma_thz(self) -> float:
         return self.pump_fwhm_thz / FWHM_PER_SIGMA
+
+    @property
+    def detuning_reach_thz(self) -> float:
+        """|d| beyond which the lobe table of ``predict_bins`` stops: six
+        detuning standard deviations, where the tail mass is below 2e-9."""
+        return 6.0 * self.sigma_detuning_thz
+
+    def detuning_density(self, detuning_thz):
+        """Marginal density of the detuning d = nu1 - nu2, in 1/THz.
+
+        Obtained by integrating the joint intensity over the sum frequency;
+        exact for any pump width, including the CW limit. Integrates to 1.
+        """
+        d = np.asarray(detuning_thz, dtype=float)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("detuning must be finite")
+        sig_d = self.sigma_detuning_thz
+        out = np.exp(-d * d / (2.0 * sig_d**2)) / (np.sqrt(2.0 * np.pi) * sig_d)
+        return float(out) if np.isscalar(detuning_thz) else out
+
+    def phase_matching(self, d: np.ndarray) -> np.ndarray:
+        """The map's factor besides each cell's pump integral, at detunings
+        d (THz): the phase-matching Gaussian times the joint intensity's norm."""
+        sig_d = self.sigma_detuning_thz
+        norm = 1.0 / (np.pi * self.pump_sigma_thz * sig_d)
+        return norm * np.exp(-d * d / (2.0 * sig_d**2))
 
     def detuning_coherence(self, tau_ps):
         """Fourier transform of the detuning density at delay tau (ps).
@@ -167,16 +191,3 @@ def _axis_widths(axis: np.ndarray) -> np.ndarray:
     edges[-1] = axis[-1] + 0.5 * (axis[-1] - axis[-2])
     return np.diff(edges)
 
-
-def detuning_density(model: BiphotonSpectrumModel, detuning_thz):
-    """Marginal density of the detuning d = nu1 - nu2, in 1/THz.
-
-    Obtained by integrating the joint intensity over the sum frequency;
-    exact for any pump width, including the CW limit. Integrates to 1.
-    """
-    d = np.asarray(detuning_thz, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("detuning must be finite")
-    sig_d = model.sigma_detuning_thz
-    out = np.exp(-d * d / (2.0 * sig_d**2)) / (np.sqrt(2.0 * np.pi) * sig_d)
-    return float(out) if np.isscalar(detuning_thz) else out

@@ -18,7 +18,7 @@ from hombeat.bins import (
     predict_bins,
 )
 from hombeat.hom import coincidence_spectrum, jsi_map
-from hombeat.spectral import JointSpectrumMap, detuning_density
+from hombeat.spectral import BiphotonSpectrumModel, JointSpectrumMap
 from hombeat.units import C_NM_PER_PS
 
 from conftest import BENCH_DELAYS_PS, detunings, live_cells
@@ -93,12 +93,12 @@ def _trapezoid_lobes(model, tau1, threshold=0.6):
     for k in range(max(2, int(np.ceil(6.0 * model.sigma_detuning_thz * tau1)) + 1)):
         lo, hi = k / tau1, (k + 1) / tau1
         d = np.linspace(lo, hi, 1001)
-        w = detuning_density(model, d) * (1.0 - np.cos(2.0 * np.pi * d * tau1))
+        w = model.detuning_density(d) * (1.0 - np.cos(2.0 * np.pi * d * tau1))
         vol = np.trapezoid(w, d)
         if vol <= 0:
             continue
         dn = np.linspace(-hi, -lo, 1001)
-        wn = detuning_density(model, dn) * (1.0 - np.cos(2.0 * np.pi * dn * tau1))
+        wn = model.detuning_density(dn) * (1.0 - np.cos(2.0 * np.pi * dn * tau1))
         lobes.append((np.trapezoid(d * w, d) / vol, vol, np.trapezoid(wn, dn)))
     vmax = max(v for _, v, _ in lobes)
     kept = [(mu, v + vn) for mu, v, vn in lobes if v >= threshold * vmax]
@@ -194,6 +194,15 @@ class TestPredictBins:
         assert ms[0] == 2 and ms[-1] >= 8
 
 
+class _NarrowDetuningModel(BiphotonSpectrumModel):
+    """A source with a detuning spread of 0.8 x 2 sigma_1 (imperfectly
+    anti-correlated photons) and the default single-photon marginal."""
+
+    @property
+    def sigma_detuning_thz(self) -> float:
+        return 0.8 * 2.0 * self.sigma_single_thz
+
+
 class TestExtraction:
     def test_center_from_cells_matches_dense_marginals(self, spectrum_maps):
         # A row-dependent weight breaks the exchange symmetry, so the two
@@ -255,6 +264,18 @@ class TestExtraction:
         assert np.allclose(got.detunings_thz(), want.detunings_thz(),
                            rtol=2e-3, atol=0)
         assert np.allclose(got.weights(), want.weights(), rtol=0, atol=1e-3)
+
+    @pytest.mark.parametrize("tau1", [0.12, 0.27, 0.37])
+    def test_map_and_prediction_ask_one_model(self, tau1):
+        # Only the model knows the detuning factor: a source whose sole
+        # change is its detuning spread must move the map and the lobe
+        # table alike.
+        narrow = _NarrowDetuningModel()
+        got = extract_bins_from_map(coincidence_spectrum(narrow, tau1)).state
+        want = predict_bins(narrow, tau1)
+        assert got.dimension_m == want.dimension_m
+        assert np.allclose(got.detunings_thz(), want.detunings_thz(),
+                           rtol=1e-3, atol=0)
 
     @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
     def test_noisy_maps_keep_the_bin_count(self, spectrum_maps,

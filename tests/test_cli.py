@@ -367,6 +367,18 @@ class TestAnalyzeCommand:
         assert rc == 4
 
 
+@pytest.mark.parametrize("command, name", [
+    ("fit", "scan.csv"), ("fit", "scan.json"), ("analyze", "fit.json")])
+def test_input_that_is_not_utf8_exits_4(tmp_path, capsys, command, name):
+    # 0xff 0xfe opens a UTF-16 file; it is no UTF-8 text.
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe" + '{"schema_version": 1}'.encode("utf-16-le"))
+    assert main(["--out", str(tmp_path / "run"), command, str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "input format error" in err
+    assert "Traceback" not in err
+
+
 class TestPipeline:
     def test_produces_all_outputs(self, tmp_path):
         scenario = write_scenario(tmp_path)

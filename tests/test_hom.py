@@ -10,7 +10,6 @@ from hombeat import (
     bunching_probability,
     coincidence_probability,
     coincidence_spectrum,
-    detuning_density,
     fringe_probability,
     fringe_scan,
 )
@@ -21,7 +20,7 @@ from conftest import live_cells
 
 
 def _trapezoid_oracle(model, weight):
-    """Trapezoid quadrature of detuning_density(d) * weight(d) over d.
+    """Trapezoid quadrature of model.detuning_density(d) * weight(d) over d.
 
     12001 points across +-7.5 detuning standard deviations keep the
     truncation and Fourier ripple of the cosine transforms below 1e-12.
@@ -29,7 +28,7 @@ def _trapezoid_oracle(model, weight):
     """
     half = 7.5 * model.sigma_detuning_thz
     d = np.linspace(-half, half, 12001)
-    return np.trapezoid(detuning_density(model, d) * weight(d), d, axis=-1)
+    return np.trapezoid(model.detuning_density(d) * weight(d), d, axis=-1)
 
 
 def _math_erf_everywhere(x):

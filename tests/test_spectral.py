@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hombeat import (
-    BiphotonSpectrumModel,
-    coincidence_spectrum,
-    detuning_density,
-)
+from hombeat import BiphotonSpectrumModel, coincidence_spectrum
 from hombeat.hom import jsi_map
 from hombeat.spectral import JointSpectrumMap
 from hombeat.units import C_NM_PER_PS
@@ -91,7 +87,7 @@ class TestNormalization:
         # default point count.
         half = 11.0 * model.sigma_single_thz
         d = np.linspace(-half, half, 512)
-        val = np.trapezoid(detuning_density(model, d), d)
+        val = np.trapezoid(model.detuning_density(d), d)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_quadrature_converged_on_default_grid(self, model):
@@ -99,7 +95,7 @@ class TestNormalization:
         vals = []
         for n in (512, 1024):
             d = np.linspace(-half, half, n)
-            vals.append(np.trapezoid(detuning_density(model, d), d))
+            vals.append(np.trapezoid(model.detuning_density(d), d))
         assert abs(vals[1] - vals[0]) < 1e-7
 
     def test_2d_map_mass_near_unity(self, model):
@@ -227,13 +223,13 @@ class TestGrid:
 class TestDetuningDensity:
     def test_symmetric_and_normalized(self, model):
         d = np.linspace(-60.0, 60.0, 20001)
-        g = detuning_density(model, d)
+        g = model.detuning_density(d)
         assert np.allclose(g, g[::-1], rtol=1e-12)
         assert np.trapezoid(g, d) == pytest.approx(1.0, abs=1e-9)
 
     def test_std_matches_model(self, model):
         d = np.linspace(-60.0, 60.0, 20001)
-        g = detuning_density(model, d)
+        g = model.detuning_density(d)
         var = np.trapezoid(d * d * g, d)
         assert np.sqrt(var) == pytest.approx(model.sigma_detuning_thz,
                                              rel=1e-6)
