@@ -3,9 +3,10 @@
 Subcommands mirror the analysis chain: spectrum (2D map + extracted bins),
 scan (second-stage delay scan), fit (fringe-model recovery), analyze
 (density matrix + entanglement report), pipeline (all four plus a run
-manifest). Exit codes: 0 success, 2 configuration error, 3 numeric
-failure (non-convergence, refused analysis, no extractable structure),
-4 I/O error.
+manifest). The exception type alone sets the exit code: 0 success, 2
+configuration error (ScenarioError, raised as the scenario loads), 3
+numeric failure (non-convergence, refused analysis, no extractable
+structure, any other ValueError), 4 I/O or file format error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .density import build_restricted_dm, eof_lower_bound, eof_reference_compari
 from .fringes import (
     FringeModelParams,
     FringeScan,
-    SeedingError,
     fit_fringe_scan,
     sample_scan,
 )
@@ -90,9 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args) -> Scenario:
     scenario = load_scenario(args.scenario) if args.scenario else Scenario()
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ScenarioError("--seed must be an unsigned 64-bit integer")
+    if args.seed is not None:  # ScanConfig checks the seed
         scenario = replace(scenario, scan=replace(scenario.scan, seed=args.seed))
     return scenario
 
@@ -120,7 +118,7 @@ def _extraction_sidecar(scenario: Scenario, extraction, predicted) -> dict:
     }
 
 
-def cmd_spectrum(scenario: Scenario, out_dir: str, fmt: str,
+def cmd_spectrum(scenario: Scenario, out_dir: str, fmt: str, outputs: dict,
                  map_file: str | None = None):
     """Simulate and write the 2D map, or read it from map_file; extract and
     write the bin sidecar."""
@@ -129,154 +127,133 @@ def cmd_spectrum(scenario: Scenario, out_dir: str, fmt: str,
     extraction = extract_bins_from_map(map_, threshold=BIN_THRESHOLD)
     predicted = predict_bins(scenario.model, scenario.tau1_ps,
                              threshold=BIN_THRESHOLD)
-    outputs = {}
     if not map_file:
         outputs["map"] = os.path.join(out_dir, f"map.{fmt}")
         (write_map_json if fmt == "json" else write_map_csv)(map_, outputs["map"])
     outputs["spectrum_bins"] = os.path.join(out_dir, "spectrum_bins.json")
     write_json(outputs["spectrum_bins"],
                _extraction_sidecar(scenario, extraction, predicted))
-    return outputs, extraction
+    return extraction
 
 
-def cmd_scan(scenario: Scenario, out_dir: str, fmt: str):
+def cmd_scan(scenario: Scenario, out_dir: str, fmt: str, outputs: dict):
     """Write the noiseless scan curve plus an optional Poisson realization."""
     cfg = scenario.scan
     scan, probs = sample_scan(
         lambda tau2: fringe_probability(scenario.model, scenario.tau1_ps, tau2),
         cfg.tau2_min_ps, cfg.tau2_max_ps, cfg.n_points,
         cfg.counts_per_point, cfg.seed)
-    scan_path = os.path.join(out_dir, f"scan.{fmt}")
-    if fmt == "json":
-        write_scan_json(scan, probs, scan_path, seed=cfg.seed)
-    else:
-        write_scan_csv(scan, probs, scan_path, seed=cfg.seed)
-    return {"scan": scan_path}, scan
+    outputs["scan"] = os.path.join(out_dir, f"scan.{fmt}")
+    (write_scan_json if fmt == "json" else write_scan_csv)(
+        scan, probs, outputs["scan"], seed=cfg.seed)
+    return scan
 
 
 class NonConvergedError(RuntimeError):
     """A numeric stage failed to converge or was refused."""
 
 
-def cmd_fit(scenario: Scenario, scan: FringeScan, out_dir: str,
+def cmd_fit(scenario: Scenario, scan: FringeScan, out_dir: str, outputs: dict,
             known_weights=None, m: int | None = None):
-    """Fit the fringe model to a scan and write the result."""
+    """Fit the fringe model to a scan and write the result; a fit that did
+    not converge is written too, then raises NonConvergedError."""
     result = fit_fringe_scan(scan, m=scenario.fit.m if m is None else m,
                              known_weights=known_weights,
-                             max_iterations=int(scenario.fit.max_iterations))
-    fit_path = os.path.join(out_dir, "fit.json")
-    write_fit_json(result, fit_path)
-    return {"fit": fit_path}, result
+                             max_iterations=scenario.fit.max_iterations)
+    outputs["fit"] = os.path.join(out_dir, "fit.json")
+    write_fit_json(result, outputs["fit"])
+    if not result.converged:
+        raise NonConvergedError(f"fit did not converge: {result.message}")
+    return result
 
 
 def cmd_analyze(scenario: Scenario, params: FringeModelParams, out_dir: str,
-                balances=None):
+                outputs: dict, balances=None):
     """Build the density matrix and entanglement report from a fit."""
     dm = build_restricted_dm(params, balances=balances,
                              mode=scenario.analysis.mode)
     report = eof_lower_bound(dm)
     comparison = (eof_reference_comparison(report)
                   if report.dimension_m in EOF_EBITS else None)
-    dm_path = os.path.join(out_dir, "dm.json")
-    report_path = os.path.join(out_dir, "report.json")
-    write_dm_json(dm, dm_path)
-    write_report_json(report, comparison, report_path)
-    return {"dm": dm_path, "report": report_path}, report
+    outputs["dm"] = os.path.join(out_dir, "dm.json")
+    write_dm_json(dm, outputs["dm"])
+    outputs["report"] = os.path.join(out_dir, "report.json")
+    write_report_json(report, comparison, outputs["report"])
+    return report
 
 
 def _run(args) -> int:
     scenario = _prepare(args)
-    out_dir = args.out
+    out_dir, fmt = args.out, args.format
     os.makedirs(out_dir, exist_ok=True)
-    fmt = args.format
-
-    if args.command == "spectrum":
-        outputs, _ = cmd_spectrum(scenario, out_dir, fmt, args.map_file)
-    elif args.command == "scan":
-        outputs, _ = cmd_scan(scenario, out_dir, fmt)
-    elif args.command == "fit":
-        scan_path = args.scan_file or os.path.join(out_dir, f"scan.{fmt}")
-        outputs, result = cmd_fit(scenario, read_scan(scan_path)[0], out_dir)
-        if not result.converged:
-            print(f"fit did not converge: {result.message}", file=sys.stderr)
-            print(f"wrote {outputs['fit']}", file=sys.stderr)
-            return EXIT_NUMERIC
-    elif args.command == "analyze":
-        fit_path = args.fit_file or os.path.join(out_dir, "fit.json")
-        params, meta = read_fit_json(fit_path)
-        if not meta["converged"]:
-            raise NonConvergedError(
-                f"refusing to analyze a non-converged fit ({meta['message']}); "
-                "rerun the fit with more iterations or a better seed")
-        outputs, _ = cmd_analyze(scenario, params, out_dir)
-    elif args.command == "pipeline":
-        return _run_pipeline(scenario, out_dir, fmt)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise AssertionError(args.command)
-
-    for path in outputs.values():
-        print(f"wrote {path}")
+    outputs = {}  # each path a command writes, listed even if a step fails
+    try:
+        if args.command == "spectrum":
+            cmd_spectrum(scenario, out_dir, fmt, outputs, args.map_file)
+        elif args.command == "scan":
+            cmd_scan(scenario, out_dir, fmt, outputs)
+        elif args.command == "fit":
+            scan_path = args.scan_file or os.path.join(out_dir, f"scan.{fmt}")
+            cmd_fit(scenario, read_scan(scan_path)[0], out_dir, outputs)
+        elif args.command == "analyze":
+            fit_path = args.fit_file or os.path.join(out_dir, "fit.json")
+            params, meta = read_fit_json(fit_path)
+            if not meta["converged"]:
+                raise NonConvergedError(
+                    f"refusing to analyze a non-converged fit ({meta['message']}); "
+                    "rerun the fit with more iterations or a better seed")
+            cmd_analyze(scenario, params, out_dir, outputs)
+        elif args.command == "pipeline":
+            _run_pipeline(scenario, out_dir, fmt, outputs)
+        else:  # pragma: no cover - argparse enforces the choices
+            raise AssertionError(args.command)
+    finally:
+        for path in outputs.values():
+            print(f"wrote {path}")
     return EXIT_OK
 
 
-def _run_pipeline(scenario: Scenario, out_dir: str, fmt: str) -> int:
-    """Chain all four stages, feeding extraction into fit and analysis."""
-    outputs = {}
-    spec_outputs, extraction = cmd_spectrum(scenario, out_dir, fmt)
-    outputs.update(spec_outputs)
-    scan_outputs, scan = cmd_scan(scenario, out_dir, fmt)
-    outputs.update(scan_outputs)
-    state = extraction.state
-    # The extracted weights pin the weight-visibility split of the fit, so
-    # they are passed along whenever the requested m matches the extraction.
-    m_fit = scenario.fit.m if scenario.fit.m is not None else state.dimension_m
-    weights = state.weights() if m_fit == state.dimension_m else None
-    fit_outputs, result = cmd_fit(scenario, scan, out_dir,
-                                  known_weights=weights, m=m_fit)
-    outputs.update(fit_outputs)
-    if not result.converged:
-        print(f"fit did not converge: {result.message}", file=sys.stderr)
-        _finish_bundle(scenario, out_dir, outputs)
-        return EXIT_NUMERIC
-    balances = state.balances() if m_fit == state.dimension_m else None
-    an_outputs, _ = cmd_analyze(scenario, result.params, out_dir,
-                                balances=balances)
-    outputs.update(an_outputs)
-    _finish_bundle(scenario, out_dir, outputs)
-    for path in outputs.values():
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _finish_bundle(scenario: Scenario, out_dir: str, outputs: dict) -> None:
-    bundle_path = os.path.join(out_dir, "bundle.json")
-    write_bundle(bundle_path, scenario_to_dict(scenario), dict(outputs),
-                 seed=scenario.scan.seed,
-                 timestamp=datetime.now(timezone.utc).isoformat())
-    outputs["bundle"] = bundle_path
+def _run_pipeline(scenario: Scenario, out_dir: str, fmt: str,
+                  outputs: dict) -> None:
+    """Chain all four stages, feeding extraction into fit and analysis. The
+    bundle lists the files written, also when a stage fails."""
+    try:
+        state = cmd_spectrum(scenario, out_dir, fmt, outputs).state
+        scan = cmd_scan(scenario, out_dir, fmt, outputs)
+        # The extracted weights pin the fit's weight-visibility split, so
+        # they are passed along whenever the requested m matches extraction.
+        m_fit = scenario.fit.m if scenario.fit.m is not None else state.dimension_m
+        matched = m_fit == state.dimension_m
+        result = cmd_fit(scenario, scan, out_dir, outputs, m=m_fit,
+                         known_weights=state.weights() if matched else None)
+        cmd_analyze(scenario, result.params, out_dir, outputs,
+                    balances=state.balances() if matched else None)
+    finally:
+        bundle_path = os.path.join(out_dir, "bundle.json")
+        write_bundle(bundle_path, scenario_to_dict(scenario), dict(outputs),
+                     seed=scenario.scan.seed,
+                     timestamp=datetime.now(timezone.utc).isoformat())
+        outputs["bundle"] = bundle_path
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # The exception type alone sets the code: scenario validation raises
+    # every ScenarioError, so any other ValueError comes from a stage.
     try:
         return _run(args)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ExtractionError, NonConvergedError, SeedingError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except IOFormatError as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # Parameter-level rejections from the domain layer are config errors.
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ValueError, ExtractionError, NonConvergedError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entrypoint() -> None:

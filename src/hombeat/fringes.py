@@ -21,18 +21,12 @@ __all__ = [
     "FringeModelParams",
     "FringeScan",
     "FitResult",
-    "SeedingError",
     "fringe_model_eval",
     "sample_scan",
     "synth_scan",
     "seed_guess",
     "fit_fringe_scan",
 ]
-
-
-class SeedingError(ValueError):
-    """A scan shows too little spectral structure, or lies on too irregular
-    a grid, to seed a fit."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def sample_scan(probability, tau2_min_ps: float, tau2_max_ps: float,
     """
     if n_points < 3:
         raise ValueError("scan needs at least 3 points")
-    if not (np.isfinite(tau2_min_ps) and np.isfinite(tau2_max_ps)):
+    if not np.isfinite(tau2_max_ps - tau2_min_ps):
         raise ValueError("scan range must be finite")
     if tau2_max_ps <= tau2_min_ps:
         raise ValueError("scan range is empty")
@@ -206,7 +200,7 @@ def _significant_dft_peaks(scan: FringeScan) -> tuple[np.ndarray, np.ndarray]:
     dt = scan.tau2_ps[1] - scan.tau2_ps[0]
     steps = np.diff(scan.tau2_ps)
     if np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):
-        raise SeedingError("spectral seeding needs a uniform tau2 grid")
+        raise ValueError("spectral seeding needs a uniform tau2 grid")
     mag = np.abs(np.fft.rfft(y))
     freqs = np.fft.rfftfreq(n, dt)
     # Two floors: the median term rejects the shot-noise background of a
@@ -238,8 +232,8 @@ def seed_guess(scan: FringeScan, m: int) -> FringeModelParams:
                          f"for m={m}, got {scan.n_points}")
     freqs, _ = _significant_dft_peaks(scan)
     if freqs.size < n_pairs:
-        raise SeedingError(f"found {freqs.size} significant spectral peaks, "
-                           f"need {n_pairs}")
+        raise ValueError(f"found {freqs.size} significant spectral peaks, "
+                         f"need {n_pairs}")
     mus = np.sort(freqs[:n_pairs])
 
     y = np.abs(scan.probabilities() - 0.5)
@@ -369,8 +363,8 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
         if m is None:
             freqs, _ = _significant_dft_peaks(scan)
             if freqs.size == 0:
-                raise SeedingError("no significant spectral peaks; cannot "
-                                   "auto-detect the bin count")
+                raise ValueError("no significant spectral peaks; cannot "
+                                 "auto-detect the bin count")
             m = 2 * int(freqs.size)
         seed = seed_guess(scan, m)
     theta0 = _pack(seed)

@@ -134,6 +134,15 @@ def _pump_cell_mass(nu_edges: np.ndarray, zp: float, sig_p: float):
     return i, j, t[top] - t[bottom] - t[top + 1] + t[bottom + 1]
 
 
+def map_problem(model: BiphotonSpectrumModel) -> str | None:
+    """Why no wavelength-domain map of ``model`` can be built, or None."""
+    if model.center_frequency_thz - _SPAN_SIGMAS * model.sigma_single_thz <= 0:
+        return "grid frequencies must be positive"
+    if model.pump_sigma_thz <= 0:
+        return "2D maps need pump_fwhm_thz > 0"
+    return None
+
+
 def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
                          detuning_factor) -> JointSpectrumMap:
     """Wavelength-domain map of pump x phase matching x detuning_factor(d).
@@ -152,14 +161,11 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
     """
     if n_points < 16:
         raise ValueError("grid needs at least 16 points per axis")
-    sig1 = model.sigma_single_thz
+    if problem := map_problem(model):
+        raise ValueError(problem)
     nu0 = model.center_frequency_thz
-    half = _SPAN_SIGMAS * sig1
-    if nu0 - half <= 0:
-        raise ValueError("grid frequencies must be positive")
+    half = _SPAN_SIGMAS * model.sigma_single_thz
     sig_p = model.pump_sigma_thz
-    if sig_p <= 0:
-        raise ValueError("2D maps need pump_fwhm_thz > 0")
 
     lam = np.linspace(C_NM_PER_PS / (nu0 + half), C_NM_PER_PS / (nu0 - half),
                       n_points)

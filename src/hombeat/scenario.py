@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .density import CROSS_COHERENCE_MODES
+from .hom import map_problem
 from .lm import MAX_ITERATIONS
 from .spectral import BiphotonSpectrumModel
 
@@ -33,6 +34,20 @@ class ScenarioError(ValueError):
     """A scenario document is malformed or out of range."""
 
 
+_MAX_COUNTS = 10**18  # under numpy's Poisson limit, 9.2e18, with room to round
+_MAX_POINTS = 10**5  # 0.8 MB per scan column; 49 MB of Jacobian at m = 40
+
+
+def _store_int(cfg, name: str, lo: int, hi: int, message: str, step: int = 1) -> None:
+    """Check that cfg.<name> is a multiple of step (an int or an integral
+    float) in [lo, hi] and store it as an int; else raise ScenarioError."""
+    value = getattr(cfg, name)
+    if not (isinstance(value, (int, float)) and lo <= value <= hi
+            and value % step == 0):
+        raise ScenarioError(message)
+    object.__setattr__(cfg, name, int(value))
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Second-stage delay scan settings."""
@@ -44,18 +59,16 @@ class ScanConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau2_min_ps) and np.isfinite(self.tau2_max_ps)):
+        if not np.isfinite(self.tau2_max_ps - self.tau2_min_ps):
             raise ScenarioError("scan range must be finite")
         if self.tau2_max_ps <= self.tau2_min_ps:
             raise ScenarioError("scan.tau2_max_ps must exceed scan.tau2_min_ps")
-        if int(self.n_points) != self.n_points or self.n_points < 3:
-            raise ScenarioError("scan.n_points must be an integer >= 3")
-        if int(self.counts_per_point) != self.counts_per_point \
-                or self.counts_per_point < 0:
-            raise ScenarioError("scan.counts_per_point must be an integer >= 0 "
-                                "(0 means noiseless)")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2 ** 64:
-            raise ScenarioError("scan.seed must be an unsigned 64-bit integer")
+        _store_int(self, "n_points", 3, _MAX_POINTS,
+                   f"scan.n_points must be an integer in [3, {_MAX_POINTS}]")
+        _store_int(self, "counts_per_point", 0, _MAX_COUNTS, "scan.counts_per_point "
+                   f"must be an integer in [0, {_MAX_COUNTS:.0e}] (0 means noiseless)")
+        _store_int(self, "seed", 0, 2**64 - 1,
+                   "scan.seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,11 @@ class FitConfig:
     max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
-        if self.m is not None and (int(self.m) != self.m or self.m < 2 or self.m % 2):
-            raise ScenarioError("fit.m must be a positive even integer or null")
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
-            raise ScenarioError("fit.max_iterations must be a positive integer")
+        if self.m is not None:
+            _store_int(self, "m", 2, _MAX_POINTS,
+                       "fit.m must be a positive even integer or null", step=2)
+        _store_int(self, "max_iterations", 1, 10**6,
+                   "fit.max_iterations must be an integer in [1, 1000000]")
 
 
 @dataclass(frozen=True)
@@ -102,6 +116,11 @@ class Scenario:
                                 "tau1_ps must be positive")
         if self.tau1_ps < 0:
             raise ScenarioError("tau1_ps must be positive")
+        if problem := map_problem(self.model):
+            raise ScenarioError(problem)
+        if self.fit.m is not None and self.scan.n_points < 2 * self.fit.m + 2:
+            raise ScenarioError(f"fit.m = {self.fit.m} needs scan.n_points >= "
+                                f"{2 * self.fit.m + 2}")
 
 
 _SECTIONS = {
@@ -155,6 +174,8 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)

@@ -50,10 +50,12 @@ class BiphotonSpectrumModel:
                 raise ValueError(f"{name} must be finite")
         if self.center_wavelength_nm <= 0:
             raise ValueError("center_wavelength_nm must be positive")
-        if self.marginal_fwhm_nm <= 0:
-            raise ValueError("marginal_fwhm_nm must be positive")
         if self.pump_fwhm_thz < 0:
             raise ValueError("pump_fwhm_thz must be non-negative")
+        lam0 = self.center_wavelength_nm  # the widths divide by lam0**2
+        if not (0 < lam0 * lam0 < np.inf and 0 < self.marginal_fwhm_thz < np.inf
+                and 0 < self.sigma_single_thz < np.inf):
+            raise ValueError("the marginal width in THz must be finite and positive")
 
     @property
     def center_frequency_thz(self) -> float:

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hombeat
 from conftest import BENCH_DELAYS_PS, reference_map_csv, reference_map_json
@@ -329,12 +334,15 @@ class TestFitCommand:
         assert "numeric failure" in err and "uniform" in err
         assert "Traceback" not in err
 
-    def test_non_converged_fit_returns_numeric_failure(self, tmp_path):
+    def test_non_converged_fit_returns_numeric_failure(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, fit={"m": 4, "max_iterations": 1})
         out = tmp_path / "run"
         main(["--scenario", scenario, "--out", str(out), "scan"])
+        capsys.readouterr()
         rc = main(["--scenario", scenario, "--out", str(out), "fit"])
         assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: fit did not converge: ")
         # the result file is still written for inspection
         fit = json.loads((out / "fit.json").read_text())
         assert fit["converged"] is False
@@ -454,6 +462,53 @@ class TestPipeline:
         assert sidecar["dimension_m"] == 2
 
 
+# One row per cause of a failed pipeline: the scenario file's bytes, the
+# exit code, the start of stderr, and the files written (None: not even the
+# output directory, since every configuration error is found as the
+# scenario loads, before any stage runs).
+_PIPELINE_FAILURES = [
+    pytest.param(b'{"tau1_ps": 0.8}', 3,
+                 "numeric failure: matrix has an eigenvalue below -1e-9",
+                 ["bundle.json", "fit.json", "map.csv", "scan.csv",
+                  "spectrum_bins.json"], id="rho-not-positive-at-0.8ps"),
+    pytest.param(b'{"model": {"pump_fwhm_thz": 0}}', 2,
+                 "configuration error: 2D maps need pump_fwhm_thz > 0", None,
+                 id="cw-pump"),
+    pytest.param(b'{"model": {"marginal_fwhm_nm": 400}}', 2,
+                 "configuration error: grid frequencies must be positive", None,
+                 id="span-below-0-THz"),
+    pytest.param(b'{"fit": {"m": 400}}', 2,
+                 "configuration error: fit.m = 400 needs scan.n_points >= 802",
+                 None, id="scan-too-short-for-m"),
+    pytest.param(b'{"scan": {"counts_per_point": 1e30}}', 2,
+                 "configuration error: scan.counts_per_point must be", None,
+                 id="counts-beyond-poisson"),
+    pytest.param(b'{"scan": {"tau2_min_ps": -1e308, "tau2_max_ps": 1e308}}', 2,
+                 "configuration error: scan range must be finite", None,
+                 id="tau2-grid-overflows"),
+    pytest.param(b'\xff\xfe{}', 2,
+                 "configuration error: scenario file is not UTF-8 text", None,
+                 id="scenario-not-utf8"),
+    pytest.param(b'{"model": {"center_wavelength_nm": 1e-200}}', 2,
+                 "configuration error: invalid section 'model': the marginal "
+                 "width in THz must be finite and positive", None,
+                 id="center-wavelength-underflows"),
+]
+
+
+@pytest.mark.parametrize("document, rc, message, written", _PIPELINE_FAILURES)
+def test_pipeline_failure_exit_codes(tmp_path, capsys, document, rc, message,
+                                     written):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(document)
+    out = tmp_path / "run"
+    assert main(["--scenario", str(path), "--out", str(out), "pipeline"]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert (sorted(os.listdir(out)) if out.exists() else None) == written
+
+
 class TestConfigurationErrors:
     def test_unknown_scenario_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -484,3 +539,110 @@ class TestConfigurationErrors:
         rc = main(["--scenario", str(tmp_path / "none.json"),
                    "--out", str(tmp_path), "scan"])
         assert rc == 2
+
+
+# In-range values of each scenario key, by (section, key); section None is
+# the top level. Every draw is bounded: tau1 <= 10 ps, n_points <= 2001,
+# fit.m <= 40 and a center wavelength of 300-3000 nm, so no map, lobe table
+# or Jacobian reaches 10 MB.
+_SCENARIO_KEYS = {
+    (None, "tau1_ps"): st.floats(1e-3, 10.0),
+    ("model", "center_wavelength_nm"): st.floats(300.0, 3000.0),
+    ("model", "marginal_fwhm_nm"): st.floats(0.01, 100.0),
+    ("model", "pump_fwhm_thz"): st.floats(0.0, 10.0),
+    ("scan", "tau2_min_ps"): st.floats(-5.0, 1.0),
+    ("scan", "tau2_max_ps"): st.floats(-1.0, 5.0),
+    ("scan", "n_points"): st.integers(0, 2001),
+    ("scan", "counts_per_point"): st.integers(0, 10**6),
+    ("scan", "seed"): st.integers(0, 2**64 - 1),
+    ("fit", "m"): st.one_of(st.none(), st.integers(1, 20).map(lambda k: 2 * k)),
+    ("fit", "max_iterations"): st.integers(1, 100),
+    ("analysis", "mode"): st.sampled_from(["assumed-average", "measured-only"]),
+}
+# Values no scenario key accepts, or that sit at the edge of a float or of
+# numpy's Poisson sampler.
+_EDGE_VALUES = [0, -1, 3, 1e-300, 1e300, 1e308, -1e308, 10**18, 1e30,
+                float("nan"), float("inf"), "x", None, True, [1]]
+
+
+@st.composite
+def _scenario_docs(draw):
+    """In-range values for some keys; in half the draws, one key (or an
+    unknown one) set to an edge value."""
+    doc = {}
+    def put(section, key, value):
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    for (section, key), values in _SCENARIO_KEYS.items():
+        if draw(st.booleans()):
+            put(section, key, draw(values))
+    if draw(st.booleans()):
+        section, key = draw(st.sampled_from([*_SCENARIO_KEYS, (None, "bogus")]))
+        put(section, key, draw(st.sampled_from(_EDGE_VALUES)))
+    return doc
+
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6),
+                         st.floats(allow_nan=True), st.text(max_size=3),
+                         st.lists(st.floats(-1e3, 1e3), max_size=4))
+_TOKENS = [b"", b"nan", b"inf", b"-1", b"0", b"1e308", b"-0.0", b",", b"\n",
+           b"#", b"=", b"]", b"{", b'"x"', b"\xff"]
+
+
+@st.composite
+def _mutated_file(draw, runs):
+    """One of the pipeline's scan, fit or map files, edited: a byte span
+    replaced, or for JSON one field replaced or deleted."""
+    run = draw(st.sampled_from(sorted(run for _, run in runs.values())))
+    name = draw(st.sampled_from(sorted(
+        n for n in os.listdir(run) if n.split(".")[0] in ("scan", "fit", "map"))))
+    data = (run / name).read_bytes()
+    if name.endswith(".json") and draw(st.booleans()):
+        doc = json.loads(data)
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_JSON_VALUES)
+        return name, json.dumps(doc).encode()
+    start = draw(st.integers(0, len(data)))
+    stop = draw(st.integers(start, min(len(data), start + 40)))
+    insert = draw(st.one_of(st.sampled_from(_TOKENS), st.binary(max_size=8)))
+    return name, data[:start] + insert + data[stop:]
+
+
+def _exit_code(argv):
+    """main's return code; an exception that escapes it fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestExitCodeFuzz:
+    """Random scenarios and malformed input files end in a documented exit
+    code (0, 2, 3 or 4), never in an exception."""
+
+    @settings(max_examples=60, deadline=timedelta(seconds=5))
+    @given(doc=_scenario_docs(),
+           command=st.sampled_from(["spectrum", "scan", "pipeline"]),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_random_scenarios(self, doc, command, fmt):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "scenario.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            rc = _exit_code(["--scenario", path, "--out", os.path.join(d, "run"),
+                             "--format", fmt, command])
+        assert rc in (0, 2, 3, 4)
+
+    @settings(max_examples=100, deadline=timedelta(seconds=5))
+    @given(data=st.data())
+    def test_malformed_files(self, pipeline_runs, data):
+        name, content = data.draw(_mutated_file(pipeline_runs))
+        command = {"scan": "fit", "fit": "analyze", "map": "spectrum"}[
+            name.split(".")[0]]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, name)
+            with open(path, "wb") as fh:
+                fh.write(content)
+            rc = _exit_code(["--out", os.path.join(d, "run"), command, path])
+        assert rc in (0, 2, 3, 4)

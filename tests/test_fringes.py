@@ -181,6 +181,9 @@ class TestSynthScan:
             synth_scan(params, -0.5, 0.5, 2, 100)
         with pytest.raises(ValueError, match="range"):
             synth_scan(params, 0.5, -0.5, 101, 100)
+        # Finite ends whose grid width overflows.
+        with pytest.raises(ValueError, match="scan range must be finite"):
+            synth_scan(params, -1e308, 1e308, 101, 100)
 
     def test_counts_are_poisson_distributed(self):
         # Flat 1/2 region outside the envelope: variance/mean of the raw

@@ -99,11 +99,21 @@ class TestScanConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(ScenarioError, match="n_points"):
             ScanConfig(n_points=2)
+        for huge in (1e300, float("inf"), 10**18):
+            with pytest.raises(ScenarioError, match="n_points"):
+                ScanConfig(n_points=huge)
         with pytest.raises(ScenarioError, match="counts_per_point"):
             ScanConfig(counts_per_point=-1)
 
     def test_noiseless_zero_counts_allowed(self):
         assert ScanConfig(counts_per_point=0).counts_per_point == 0
+
+    def test_integral_floats_are_stored_as_int(self):
+        scan = ScanConfig(n_points=601.0, counts_per_point=1e3, seed=7.0)
+        fit = FitConfig(m=4.0, max_iterations=50.0)
+        for value in (scan.n_points, scan.counts_per_point, scan.seed, fit.m,
+                      fit.max_iterations):
+            assert type(value) is int
 
     def test_seed_range(self):
         ScanConfig(seed=0)

@@ -31,6 +31,9 @@ class TestModelValidation:
         {"marginal_fwhm_nm": 0.0},
         {"pump_fwhm_thz": -0.1},
         {"marginal_fwhm_nm": float("nan")},
+        {"center_wavelength_nm": 1e-200},  # lam0**2 underflows to 0
+        {"center_wavelength_nm": 1e-300},
+        {"center_wavelength_nm": 1e200},  # lam0**2 overflows
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
