@@ -4,9 +4,10 @@ Subcommands mirror the analysis chain: spectrum (2D map + extracted bins),
 scan (second-stage delay scan), fit (fringe-model recovery), analyze
 (density matrix + entanglement report), pipeline (all four plus a run
 manifest). The exception type alone sets the exit code: 0 success, 2
-configuration error (ScenarioError, raised as the scenario loads), 3
+configuration error (ScenarioError, raised before any stage runs), 3
 numeric failure (non-convergence, refused analysis, no extractable
-structure, any other ValueError), 4 I/O or file format error.
+structure, an array too large to allocate, any other ValueError), 4 I/O
+or file format error.
 """
 
 from __future__ import annotations
@@ -184,6 +185,9 @@ def cmd_analyze(scenario: Scenario, params: FringeModelParams, out_dir: str,
 
 def _run(args) -> int:
     scenario = _prepare(args)
+    if args.command == "pipeline" or (args.command == "spectrum"
+                                      and not args.map_file):
+        scenario.require_map()
     out_dir, fmt = args.out, args.format
     os.makedirs(out_dir, exist_ok=True)
     outputs = {}  # each path a command writes, listed even if a step fails
@@ -238,7 +242,7 @@ def _run_pipeline(scenario: Scenario, out_dir: str, fmt: str,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # The exception type alone sets the code: scenario validation raises
+    # The exception type alone sets the code: the scenario module raises
     # every ScenarioError, so any other ValueError comes from a stage.
     try:
         return _run(args)
@@ -251,7 +255,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ExtractionError, NonConvergedError) as exc:
+    except (ValueError, ExtractionError, NonConvergedError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -35,17 +35,28 @@ class ScenarioError(ValueError):
 
 
 _MAX_COUNTS = 10**18  # under numpy's Poisson limit, 9.2e18, with room to round
-_MAX_POINTS = 10**5  # 0.8 MB per scan column; 49 MB of Jacobian at m = 40
+_MAX_POINTS = np.iinfo(np.intp).max // 8  # the most float64s one array can hold
 
 
-def _store_int(cfg, name: str, lo: int, hi: int, message: str, step: int = 1) -> None:
+def _store_int(cfg, name: str, lo: int, hi: float, message: str, step: int = 1) -> None:
     """Check that cfg.<name> is a multiple of step (an int or an integral
-    float) in [lo, hi] and store it as an int; else raise ScenarioError."""
+    float; nan and inf fail the modulo test) in [lo, hi] and store it as an
+    int; else raise ScenarioError."""
     value = getattr(cfg, name)
     if not (isinstance(value, (int, float)) and lo <= value <= hi
             and value % step == 0):
         raise ScenarioError(message)
     object.__setattr__(cfg, name, int(value))
+
+
+def _as_float(value, name: str) -> float:
+    """value, an int or a float, as a float; else raise ScenarioError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{name} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -59,12 +70,15 @@ class ScanConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("tau2_min_ps", "tau2_max_ps"):
+            object.__setattr__(self, name, _as_float(getattr(self, name),
+                                                     f"scan.{name}"))
         if not np.isfinite(self.tau2_max_ps - self.tau2_min_ps):
             raise ScenarioError("scan range must be finite")
         if self.tau2_max_ps <= self.tau2_min_ps:
             raise ScenarioError("scan.tau2_max_ps must exceed scan.tau2_min_ps")
-        _store_int(self, "n_points", 3, _MAX_POINTS,
-                   f"scan.n_points must be an integer in [3, {_MAX_POINTS}]")
+        _store_int(self, "n_points", 3, _MAX_POINTS, "scan.n_points must be "
+                   "an integer >= 3 that a numpy array can hold")
         _store_int(self, "counts_per_point", 0, _MAX_COUNTS, "scan.counts_per_point "
                    f"must be an integer in [0, {_MAX_COUNTS:.0e}] (0 means noiseless)")
         _store_int(self, "seed", 0, 2**64 - 1,
@@ -80,10 +94,10 @@ class FitConfig:
 
     def __post_init__(self):
         if self.m is not None:
-            _store_int(self, "m", 2, _MAX_POINTS,
+            _store_int(self, "m", 2, np.inf,
                        "fit.m must be a positive even integer or null", step=2)
-        _store_int(self, "max_iterations", 1, 10**6,
-                   "fit.max_iterations must be an integer in [1, 1000000]")
+        _store_int(self, "max_iterations", 1, np.inf,
+                   "fit.max_iterations must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -109,6 +123,7 @@ class Scenario:
     analysis: AnalysisConfig = AnalysisConfig()
 
     def __post_init__(self):
+        object.__setattr__(self, "tau1_ps", _as_float(self.tau1_ps, "tau1_ps"))
         if not np.isfinite(self.tau1_ps):
             raise ScenarioError("tau1_ps must be finite")
         if self.tau1_ps == 0:
@@ -116,11 +131,14 @@ class Scenario:
                                 "tau1_ps must be positive")
         if self.tau1_ps < 0:
             raise ScenarioError("tau1_ps must be positive")
-        if problem := map_problem(self.model):
-            raise ScenarioError(problem)
         if self.fit.m is not None and self.scan.n_points < 2 * self.fit.m + 2:
             raise ScenarioError(f"fit.m = {self.fit.m} needs scan.n_points >= "
                                 f"{2 * self.fit.m + 2}")
+
+    def require_map(self) -> None:
+        """Raise ScenarioError if no 2D map of the model can be built."""
+        if problem := map_problem(self.model):
+            raise ScenarioError(problem)
 
 
 _SECTIONS = {
@@ -156,10 +174,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"unknown key '{key}' in scenario")
     parts = {name: _build_section(name, cls, data.get(name, {}))
              for name, cls in _SECTIONS.items()}
-    tau1 = data.get("tau1_ps", Scenario.tau1_ps)
-    if not isinstance(tau1, (int, float)) or isinstance(tau1, bool):
-        raise ScenarioError("tau1_ps must be a number")
-    return Scenario(tau1_ps=float(tau1), **parts)
+    return Scenario(tau1_ps=data.get("tau1_ps", Scenario.tau1_ps), **parts)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -462,47 +462,63 @@ class TestPipeline:
         assert sidecar["dimension_m"] == 2
 
 
-# One row per cause of a failed pipeline: the scenario file's bytes, the
-# exit code, the start of stderr, and the files written (None: not even the
-# output directory, since every configuration error is found as the
-# scenario loads, before any stage runs).
-_PIPELINE_FAILURES = [
-    pytest.param(b'{"tau1_ps": 0.8}', 3,
+# One row per cause of a failed run: the command, the scenario file's bytes,
+# the exit code, the start of stderr, and the files written (None: not even
+# the output directory, since every configuration error is found before
+# any stage runs). A model with no 2D map still scans: only the commands
+# that build a map refuse it.
+_FAILURES = [
+    pytest.param("pipeline", b'{"tau1_ps": 0.8}', 3,
                  "numeric failure: matrix has an eigenvalue below -1e-9",
                  ["bundle.json", "fit.json", "map.csv", "scan.csv",
                   "spectrum_bins.json"], id="rho-not-positive-at-0.8ps"),
-    pytest.param(b'{"model": {"pump_fwhm_thz": 0}}', 2,
+    pytest.param("pipeline", b'{"model": {"pump_fwhm_thz": 0}}', 2,
                  "configuration error: 2D maps need pump_fwhm_thz > 0", None,
                  id="cw-pump"),
-    pytest.param(b'{"model": {"marginal_fwhm_nm": 400}}', 2,
+    pytest.param("scan", b'{"model": {"pump_fwhm_thz": 0}}', 0, "",
+                 ["scan.csv"], id="cw-pump-scans"),
+    pytest.param("pipeline", b'{"model": {"marginal_fwhm_nm": 400}}', 2,
                  "configuration error: grid frequencies must be positive", None,
                  id="span-below-0-THz"),
-    pytest.param(b'{"fit": {"m": 400}}', 2,
+    pytest.param("scan", b'{"model": {"marginal_fwhm_nm": 400}}', 0, "",
+                 ["scan.csv"], id="span-below-0-THz-scans"),
+    pytest.param("pipeline", b'{"fit": {"m": 400}}', 2,
                  "configuration error: fit.m = 400 needs scan.n_points >= 802",
                  None, id="scan-too-short-for-m"),
-    pytest.param(b'{"scan": {"counts_per_point": 1e30}}', 2,
+    pytest.param("pipeline", b'{"scan": {"counts_per_point": 1e30}}', 2,
                  "configuration error: scan.counts_per_point must be", None,
                  id="counts-beyond-poisson"),
-    pytest.param(b'{"scan": {"tau2_min_ps": -1e308, "tau2_max_ps": 1e308}}', 2,
+    pytest.param("pipeline",
+                 b'{"scan": {"tau2_min_ps": -1e308, "tau2_max_ps": 1e308}}', 2,
                  "configuration error: scan range must be finite", None,
                  id="tau2-grid-overflows"),
-    pytest.param(b'\xff\xfe{}', 2,
+    pytest.param("scan", b'{"scan": {"tau2_min_ps": 1%s, "tau2_max_ps": 2%s}}'
+                 % (b"0" * 400, b"0" * 400), 2, "configuration error: "
+                 "scan.tau2_min_ps is beyond the float range", None,
+                 id="tau2-int-beyond-float"),
+    pytest.param("scan", b'{"tau1_ps": 1%s}' % (b"0" * 400), 2,
+                 "configuration error: tau1_ps is beyond the float range", None,
+                 id="tau1-int-beyond-float"),
+    pytest.param("scan", b'{"scan": {"n_points": 1e18}}', 3,
+                 "numeric failure: Unable to allocate", [],
+                 id="scan-beyond-memory"),
+    pytest.param("pipeline", b'\xff\xfe{}', 2,
                  "configuration error: scenario file is not UTF-8 text", None,
                  id="scenario-not-utf8"),
-    pytest.param(b'{"model": {"center_wavelength_nm": 1e-200}}', 2,
+    pytest.param("pipeline", b'{"model": {"center_wavelength_nm": 1e-200}}', 2,
                  "configuration error: invalid section 'model': the marginal "
                  "width in THz must be finite and positive", None,
                  id="center-wavelength-underflows"),
 ]
 
 
-@pytest.mark.parametrize("document, rc, message, written", _PIPELINE_FAILURES)
-def test_pipeline_failure_exit_codes(tmp_path, capsys, document, rc, message,
-                                     written):
+@pytest.mark.parametrize("command, document, rc, message, written", _FAILURES)
+def test_failure_exit_codes(tmp_path, capsys, command, document, rc, message,
+                            written):
     path = tmp_path / "scenario.json"
     path.write_bytes(document)
     out = tmp_path / "run"
-    assert main(["--scenario", str(path), "--out", str(out), "pipeline"]) == rc
+    assert main(["--scenario", str(path), "--out", str(out), command]) == rc
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
@@ -561,7 +577,7 @@ _SCENARIO_KEYS = {
 }
 # Values no scenario key accepts, or that sit at the edge of a float or of
 # numpy's Poisson sampler.
-_EDGE_VALUES = [0, -1, 3, 1e-300, 1e300, 1e308, -1e308, 10**18, 1e30,
+_EDGE_VALUES = [0, -1, 3, 1e-300, 1e300, 1e308, -1e308, 10**18, 1e30, 10**400,
                 float("nan"), float("inf"), "x", None, True, [1]]
 
 

@@ -79,6 +79,8 @@ class TestValidation:
     def test_non_finite_delay(self):
         with pytest.raises(ScenarioError, match="finite"):
             Scenario(tau1_ps=float("inf"))
+        with pytest.raises(ScenarioError, match="float range"):
+            scenario_from_dict({"tau1_ps": 10**400})
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ScenarioError, match="must be a number"):
@@ -95,13 +97,16 @@ class TestScanConfig:
             ScanConfig(tau2_min_ps=0.5, tau2_max_ps=-0.5)
         with pytest.raises(ScenarioError, match="finite"):
             ScanConfig(tau2_min_ps=float("nan"))
+        with pytest.raises(ScenarioError, match="float range"):
+            ScanConfig(tau2_min_ps=10**400, tau2_max_ps=10**400 + 1)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ScenarioError, match="n_points"):
             ScanConfig(n_points=2)
-        for huge in (1e300, float("inf"), 10**18):
+        for huge in (1e300, float("inf"), 2**63):  # beyond any numpy array
             with pytest.raises(ScenarioError, match="n_points"):
                 ScanConfig(n_points=huge)
+        assert ScanConfig(n_points=200_000).n_points == 200_000
         with pytest.raises(ScenarioError, match="counts_per_point"):
             ScanConfig(counts_per_point=-1)
 
@@ -133,8 +138,10 @@ class TestFitConfig:
                 FitConfig(m=bad)
 
     def test_max_iterations_range(self):
-        with pytest.raises(ScenarioError, match="max_iterations"):
-            FitConfig(max_iterations=0)
+        for bad in (0, 2.5, float("inf"), float("nan")):
+            with pytest.raises(ScenarioError, match="max_iterations"):
+                FitConfig(max_iterations=bad)
+        assert FitConfig(max_iterations=10**7).max_iterations == 10**7
 
     @pytest.mark.parametrize("key", ["gradient_tol", "cost_tol"])
     def test_lm_tolerances_are_not_scenario_keys(self, key):
