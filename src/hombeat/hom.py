@@ -134,12 +134,18 @@ def _pump_cell_mass(nu_edges: np.ndarray, zp: float, sig_p: float):
     return i, j, t[top] - t[bottom] - t[top + 1] + t[bottom + 1]
 
 
-def map_problem(model: BiphotonSpectrumModel) -> str | None:
-    """Why no wavelength-domain map of ``model`` can be built, or None."""
-    if model.center_frequency_thz - _SPAN_SIGMAS * model.sigma_single_thz <= 0:
+def map_problem(model: BiphotonSpectrumModel, n_points: int = 512) -> str | None:
+    """Why no map of ``model`` with ``n_points`` per axis can be built, or None."""
+    if n_points < 16:
+        return "grid needs at least 16 points per axis"
+    nu0, half = model.center_frequency_thz, _SPAN_SIGMAS * model.sigma_single_thz
+    if nu0 - half <= 0:
         return "grid frequencies must be positive"
     if model.pump_sigma_thz <= 0:
         return "2D maps need pump_fwhm_thz > 0"
+    low, high = C_NM_PER_PS / (nu0 + half), C_NM_PER_PS / (nu0 - half)
+    if high - low <= 2 * (n_points - 1) * math.ulp(high):  # linspace errs <= ulp/2
+        return "wavelength span too narrow for a strictly increasing axis"
     return None
 
 
@@ -159,9 +165,7 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
     whose mass is not positive read +0.0 in the dense view. Every stored
     cell keeps the bits of the dense cell integral.
     """
-    if n_points < 16:
-        raise ValueError("grid needs at least 16 points per axis")
-    if problem := map_problem(model):
+    if problem := map_problem(model, n_points):
         raise ValueError(problem)
     nu0 = model.center_frequency_thz
     half = _SPAN_SIGMAS * model.sigma_single_thz

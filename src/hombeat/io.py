@@ -1,15 +1,17 @@
 """Deterministic file formats: CSV for sampled data, JSON for results.
 
 Every file carries a schema version. Numeric text uses repr (shortest
-round-trip) so identical inputs produce byte-identical files; nothing here
-writes timestamps except the run bundle, which is explicitly excluded from
-the byte-determinism contract.
+round-trip), so identical inputs give identical bytes; only the run bundle
+holds a timestamp. JSON is exactly json.dumps(indent=2, sort_keys=True,
+allow_nan=False), but made by json's C encoder, which indent would bypass.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -55,10 +57,29 @@ def _write_text(path: str, text: str) -> None:
         fh.truncate()
 
 
+@functools.cache
+def _encoder(sep: str):
+    return json.JSONEncoder(allow_nan=False, separators=(sep, ": ")).encode
+
+
+def _canonical(value, indent: str) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True) writes it at ``indent``."""
+    inner = indent + "  "
+    encode, join = _encoder("," + inner), ("," + inner).join
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return encode(value)
+    if isinstance(value, dict):  # a key that is not a str raises TypeError
+        return "{" + inner + join(f"{encode_basestring_ascii(k)}: {_canonical(v, inner)}"
+                                  for k, v in sorted(value.items())) + indent + "}"
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
+        return "[" + inner + join(_canonical(v, inner) for v in value) + indent + "]"
+    return "[" + inner + encode(value)[1:-1] + indent + "]"
+
+
 def write_json(path: str, payload: dict) -> None:
-    """Canonical JSON: sorted keys, two-space indent, no NaN."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _write_text(path, text + "\n")
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` and a
+    newline; lists of scalars skip indent's pure-Python encoder for json's C one."""
+    _write_text(path, _canonical(payload, "\n") + "\n")
 
 
 # A map file of schema 2 states both axes once, then one row per stored

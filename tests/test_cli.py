@@ -482,6 +482,17 @@ _FAILURES = [
                  id="span-below-0-THz"),
     pytest.param("scan", b'{"model": {"marginal_fwhm_nm": 400}}', 0, "",
                  ["scan.csv"], id="span-below-0-THz-scans"),
+    pytest.param("pipeline", b'{"model": {"marginal_fwhm_nm": 1e-300}}', 2,
+                 "configuration error: wavelength span too narrow for a "
+                 "strictly increasing axis", None, id="span-below-float-resolution"),
+    pytest.param("spectrum", b'{"model": {"marginal_fwhm_nm": 1e-300}}', 2,
+                 "configuration error: wavelength span too narrow for a "
+                 "strictly increasing axis", None,
+                 id="span-below-float-resolution-spectrum"),
+    pytest.param("scan", b'{"model": {"marginal_fwhm_nm": 1e-300}}', 3,
+                 "numeric failure: fringe probability undefined at tau1=0.12: "
+                 "the first stage has no anti-bunched component", [],
+                 id="span-below-float-resolution-scans"),
     pytest.param("pipeline", b'{"fit": {"m": 400}}', 2,
                  "configuration error: fit.m = 400 needs scan.n_points >= 802",
                  None, id="scan-too-short-for-m"),

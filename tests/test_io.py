@@ -1,4 +1,5 @@
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (BENCH_DELAYS_PS, live_cells, reference_map_csv,
                       reference_map_json)
 
+import hombeat.cli
+import hombeat.io
 from hombeat.cli import main
 from hombeat.density import build_restricted_dm, eof_lower_bound, eof_reference_comparison
 from hombeat.fringes import FringeScan, fit_fringe_scan, fringe_model_eval, synth_scan
@@ -575,6 +578,38 @@ class TestMapReaderErrors:
             read_text(text, tmp_path / name)
 
 
+def json_dumps_oracle(payload) -> bytes:
+    """The bytes write_json must produce: indent=2 json.dumps, one newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode()
+
+
+# Scalars json.dumps writes differently by type or value: big ints, signed
+# zero, subnormals, the float extremes, float subclasses, and strings that
+# need escapes (quotes, backslashes, line breaks, control and non-ASCII).
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-2**200, max_value=-2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]),
+    st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é€😀'),
+            max_size=12),
+)
+_KEYS = st.text(st.characters() | st.sampled_from('"\\\n\x01é'), max_size=8)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=16)
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
 class TestWriteJson:
     def test_sorted_keys_and_trailing_newline(self, tmp_path):
         path = tmp_path / "x.json"
@@ -609,3 +644,74 @@ class TestWriteJson:
         assert data["provenance"]["tool_version"] == "0.1.0"
         assert data["outputs"]["scan"] == "scan.csv"
         assert data["scenario"]["tau1_ps"] == 0.12
+
+    @pytest.mark.parametrize("counts", [0, 1000])
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_every_cli_payload_is_json_dumps(self, tmp_path, monkeypatch,
+                                             tau1, counts):
+        # Every dict a JSON pipeline writes, as the stages hand it over
+        # (numpy floats, tuples): map and scan tables, sidecar, fit, dm,
+        # report and bundle.
+        written = {}
+
+        def spy(path, payload):
+            write_json(path, payload)
+            written[os.path.basename(path)] = (path, payload)
+
+        monkeypatch.setattr(hombeat.io, "write_json", spy)
+        monkeypatch.setattr(hombeat.cli, "write_json", spy)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"tau1_ps": tau1, "scan": {"counts_per_point": counts}}))
+        assert main(["--scenario", str(scenario), "--out", str(tmp_path / "run"),
+                     "--format", "json", "pipeline"]) == 0
+        assert sorted(written) == ["bundle.json", "dm.json", "fit.json", "map.json",
+                                   "report.json", "scan.json", "spectrum_bins.json"]
+        assert ("seed" in written["scan.json"][1]) == (counts > 0)
+        for path, payload in written.values():
+            with open(path, "rb") as fh:
+                assert fh.read() == json_dumps_oracle(payload), path
+
+    @pytest.mark.parametrize("with_comparison", [True, False])
+    def test_report_is_json_dumps(self, json_dir, module_dm, with_comparison):
+        report = eof_lower_bound(module_dm)
+        payload = report_to_dict(
+            report, eof_reference_comparison(report) if with_comparison else None)
+        assert ("reference_comparison" in payload) == with_comparison
+        write_json(str(json_dir / "report.json"), payload)
+        assert (json_dir / "report.json").read_bytes() == json_dumps_oracle(payload)
+
+    @settings(max_examples=80, deadline=None)
+    @given(payload=st.dictionaries(_KEYS, _VALUES, max_size=4))
+    def test_any_payload_is_json_dumps(self, json_dir, payload):
+        write_json(str(json_dir / "any.json"), payload)
+        assert (json_dir / "any.json").read_bytes() == json_dumps_oracle(payload)
+
+    def test_mixed_and_empty_containers(self, json_dir):
+        payload = {"a": [1, [2.5, []], {}, {"z": None, "y": (True, "x")}, ()],
+                   "b": {}, "c": [], "d": [[[]]], "e": {"f": {"g": [-0.0]}}}
+        write_json(str(json_dir / "mixed.json"), payload)
+        assert (json_dir / "mixed.json").read_bytes() == json_dumps_oracle(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"x": float("nan")},
+        {"x": [1.0, float("inf")]},
+        {"x": [[1.0], [2.0, -float("inf")]]},
+        {"x": {"y": np.float64("nan")}},
+        {"x": [{"y": 1.0}, 2.0, float("nan")]},
+    ], ids=["value", "flat-list", "nested-list", "flat-dict", "mixed-list"])
+    def test_nan_and_inf_rejected(self, json_dir, payload):
+        with pytest.raises(ValueError):
+            write_json(str(json_dir / "bad.json"), payload)
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a"},
+        {"x": {2: 1.0}},
+        {"x": [{None: 1}]},
+        {"x": {1.5: [1, 2]}},
+        {"x": {True: {"y": 1}}},
+    ], ids=["int", "flat-dict", "in-list", "float", "bool"])
+    def test_non_str_key_rejected(self, json_dir, payload):
+        # json.dumps would write these keys as strings; no payload has one.
+        with pytest.raises(TypeError):
+            write_json(str(json_dir / "key.json"), payload)

@@ -215,6 +215,19 @@ class TestGrid:
         with pytest.raises(ValueError, match="at least 16 points"):
             jsi_map(model, n_points=8)
 
+    @settings(max_examples=40, deadline=None)
+    @given(fwhm_nm=st.floats(1e-12, 1e-10), n_points=st.integers(16, 64),
+           center_nm=st.sampled_from([400.0, 810.0, 1550.0]))
+    def test_span_too_narrow_for_float_is_refused_before_the_axis(
+            self, fwhm_nm, n_points, center_nm):
+        # Around the float resolution of the axis a map either builds (its
+        # axes strictly increasing) or is refused by the span check.
+        model = BiphotonSpectrumModel(center_nm, fwhm_nm)
+        try:
+            jsi_map(model, n_points)
+        except ValueError as exc:
+            assert "wavelength span too narrow" in str(exc)
+
     def test_span_reaching_zero_frequency_rejected(self):
         # +-5.5 sigma_1 of a 400 nm marginal at 810 nm reaches below 0 THz.
         broad = BiphotonSpectrumModel(marginal_fwhm_nm=400.0)
