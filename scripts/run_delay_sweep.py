@@ -13,22 +13,23 @@ Example:
 from __future__ import annotations
 
 import argparse
+from itertools import islice
 
 import numpy as np
 
-from hombeat import (
-    BiphotonSpectrumModel,
-    coherence_time,
-    coincidence_spectrum,
-    extract_bins_from_map,
-    predict_bins,
-)
+from hombeat import Scenario, coherence_time, predict_bins
+from hombeat.cli import BIN_THRESHOLD, run_chain
 
 
-def sweep(model: BiphotonSpectrumModel, delays: list[float],
-          threshold: float, with_maps: bool) -> None:
+def sweep(delays: list[float], with_maps: bool) -> None:
     for tau1 in delays:
-        predicted = predict_bins(model, tau1, threshold=threshold)
+        scenario = Scenario(tau1_ps=tau1)
+        if with_maps:
+            # The chain's first two stages: the map, then its bins.
+            stages = dict(islice(run_chain(scenario), 2))
+            extraction, predicted = stages["spectrum_bins"]
+        else:
+            predicted = predict_bins(scenario.model, tau1, threshold=BIN_THRESHOLD)
         print(f"tau1 = {tau1:.3f} ps   m = {predicted.dimension_m}   "
               f"tau_c = {coherence_time(predicted):.3f} ps")
         header = f"  {'pair':>4} {'mu_pred/THz':>12} {'A_pred':>8}"
@@ -37,8 +38,6 @@ def sweep(model: BiphotonSpectrumModel, delays: list[float],
             for p in predicted.pairs
         ]
         if with_maps:
-            map_ = coincidence_spectrum(model, tau1)
-            extraction = extract_bins_from_map(map_, threshold=threshold)
             header += f" {'mu_map/THz':>12} {'A_map':>8} {'p_map':>7} {'fwhm/nm':>8}"
             for k, p in enumerate(extraction.state.pairs):
                 if k < len(rows):
@@ -64,20 +63,18 @@ def main() -> None:
                         help="first-stage delays in ps")
     parser.add_argument("--fine", action="store_true",
                         help="also sweep a fine grid (prediction only)")
-    parser.add_argument("--threshold", type=float, default=0.6,
-                        help="relative lobe-volume threshold (default 0.6)")
     parser.add_argument("--no-maps", action="store_true",
                         help="skip the 2D-map extraction; print predictions only")
     args = parser.parse_args()
 
-    model = BiphotonSpectrumModel()
-    sweep(model, args.delays, args.threshold, with_maps=not args.no_maps)
+    sweep(args.delays, with_maps=not args.no_maps)
 
     if args.fine:
         print("fine sweep (prediction only):")
         print(f"  {'tau1/ps':>8} {'m':>3} {'mu_min/THz':>11} {'tau_c/ps':>9}")
+        model = Scenario().model
         for tau1 in np.arange(0.05, 0.81, 0.025):
-            state = predict_bins(model, float(tau1), threshold=args.threshold)
+            state = predict_bins(model, float(tau1), threshold=BIN_THRESHOLD)
             print(f"  {tau1:>8.3f} {state.dimension_m:>3}"
                   f" {state.pairs[0].detuning_thz:>11.4f}"
                   f" {coherence_time(state):>9.3f}")

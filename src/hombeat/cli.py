@@ -1,10 +1,12 @@
 """Command-line front end: scenario in, deterministic result files out.
 
-Subcommands mirror the analysis chain: spectrum (2D map + extracted bins),
-scan (second-stage delay scan), fit (fringe-model recovery), analyze
-(density matrix + entanglement report), pipeline (all four plus a run
-manifest). The exception type alone sets the exit code: 0 success, 2
-configuration error (ScenarioError, raised before any stage runs), 3
+Stages compute, one loop writes. Each stage is a generator of (output
+name, result) pairs that writes nothing: spectrum (2D map + bins), scan
+(delay scan), fit (fringe model), analyze (density matrix + report).
+``run_chain(scenario)`` chains them in process; ``_run`` writes each result
+as it comes, then, for the pipeline subcommand, its manifest ``bundle.json``
+(also on failure). The exception type alone sets the exit code: 0 success,
+2 configuration error (ScenarioError, raised before any stage runs), 3
 numeric failure (non-convergence, refused analysis, no extractable
 structure, an array too large to allocate, any other ValueError), 4 I/O
 or file format error.
@@ -47,7 +49,7 @@ from .io import (
 from .reference import EOF_EBITS
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_to_dict
 
-__all__ = ["main", "entrypoint"]
+__all__ = ["main", "entrypoint", "run_chain"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(args) -> Scenario:
-    scenario = load_scenario(args.scenario) if args.scenario else Scenario()
-    if args.seed is not None:  # ScanConfig checks the seed
-        scenario = replace(scenario, scan=replace(scenario.scan, seed=args.seed))
-    return scenario
-
-
 def _bin_pair(p, **extra) -> dict:
     return {"index_j": p.index_j, "detuning_thz": float(p.detuning_thz),
             "weight": float(p.weight), "balance": float(p.balance), **extra}
@@ -119,125 +114,129 @@ def _extraction_sidecar(scenario: Scenario, extraction, predicted) -> dict:
     }
 
 
-def cmd_spectrum(scenario: Scenario, out_dir: str, fmt: str, outputs: dict,
-                 map_file: str | None = None):
-    """Simulate and write the 2D map, or read it from map_file; extract and
-    write the bin sidecar."""
-    map_ = (read_map(map_file) if map_file
-            else coincidence_spectrum(scenario.model, scenario.tau1_ps))
+class NonConvergedError(RuntimeError):
+    """A numeric stage failed to converge or was refused."""
+
+
+def _spectrum(scenario: Scenario, map_=None):
+    """The map (if simulated here) and the bins, yielded once both exist."""
+    simulated = map_ is None
+    if simulated:
+        map_ = coincidence_spectrum(scenario.model, scenario.tau1_ps)
     extraction = extract_bins_from_map(map_, threshold=BIN_THRESHOLD)
     predicted = predict_bins(scenario.model, scenario.tau1_ps,
                              threshold=BIN_THRESHOLD)
-    if not map_file:
-        outputs["map"] = os.path.join(out_dir, f"map.{fmt}")
-        (write_map_json if fmt == "json" else write_map_csv)(map_, outputs["map"])
-    outputs["spectrum_bins"] = os.path.join(out_dir, "spectrum_bins.json")
-    write_json(outputs["spectrum_bins"],
-               _extraction_sidecar(scenario, extraction, predicted))
-    return extraction
+    if simulated:
+        yield "map", map_
+    yield "spectrum_bins", (extraction, predicted)
+    return extraction.state
 
 
-def cmd_scan(scenario: Scenario, out_dir: str, fmt: str, outputs: dict):
-    """Write the noiseless scan curve plus an optional Poisson realization."""
+def _scan(scenario: Scenario):
+    """The noiseless scan curve plus an optional Poisson realization."""
     cfg = scenario.scan
     scan, probs = sample_scan(
         lambda tau2: fringe_probability(scenario.model, scenario.tau1_ps, tau2),
         cfg.tau2_min_ps, cfg.tau2_max_ps, cfg.n_points,
         cfg.counts_per_point, cfg.seed)
-    outputs["scan"] = os.path.join(out_dir, f"scan.{fmt}")
-    (write_scan_json if fmt == "json" else write_scan_csv)(
-        scan, probs, outputs["scan"], seed=cfg.seed)
+    yield "scan", (scan, probs)
     return scan
 
 
-class NonConvergedError(RuntimeError):
-    """A numeric stage failed to converge or was refused."""
-
-
-def cmd_fit(scenario: Scenario, scan: FringeScan, out_dir: str, outputs: dict,
-            known_weights=None, m: int | None = None):
-    """Fit the fringe model to a scan and write the result; a fit that did
-    not converge is written too, then raises NonConvergedError."""
-    result = fit_fringe_scan(scan, m=scenario.fit.m if m is None else m,
-                             known_weights=known_weights,
+def _fit(scenario: Scenario, scan: FringeScan, m: int | None, known_weights=None):
+    """The fringe fit; one that did not converge is yielded, then raises."""
+    result = fit_fringe_scan(scan, m=m, known_weights=known_weights,
                              max_iterations=scenario.fit.max_iterations)
-    outputs["fit"] = os.path.join(out_dir, "fit.json")
-    write_fit_json(result, outputs["fit"])
+    yield "fit", result
     if not result.converged:
         raise NonConvergedError(f"fit did not converge: {result.message}")
     return result
 
 
-def cmd_analyze(scenario: Scenario, params: FringeModelParams, out_dir: str,
-                outputs: dict, balances=None):
-    """Build the density matrix and entanglement report from a fit."""
+def _analyze(scenario: Scenario, params: FringeModelParams, balances=None):
+    """The density matrix, then the report with its benchmark comparison."""
     dm = build_restricted_dm(params, balances=balances,
                              mode=scenario.analysis.mode)
     report = eof_lower_bound(dm)
     comparison = (eof_reference_comparison(report)
                   if report.dimension_m in EOF_EBITS else None)
-    outputs["dm"] = os.path.join(out_dir, "dm.json")
-    write_dm_json(dm, outputs["dm"])
-    outputs["report"] = os.path.join(out_dir, "report.json")
-    write_report_json(report, comparison, outputs["report"])
-    return report
+    yield "dm", dm
+    yield "report", (report, comparison)
+
+
+def run_chain(scenario: Scenario):
+    """The paper's chain in process, lazily: yields (output name, result) for
+    map, spectrum_bins (extraction, predicted), scan (scan, probabilities),
+    fit, dm and report (report, comparison). A failed stage raises its error."""
+    state = yield from _spectrum(scenario)
+    scan = yield from _scan(scenario)
+    # The extracted weights pin the fit's weight-visibility split, so they
+    # are passed along whenever the requested m matches extraction.
+    m = scenario.fit.m if scenario.fit.m is not None else state.dimension_m
+    weights, balances = ((state.weights(), state.balances())
+                         if m == state.dimension_m else (None, None))
+    fit = yield from _fit(scenario, scan, m, weights)
+    yield from _analyze(scenario, fit.params, balances)
+
+
+def _stages(args, scenario: Scenario):
+    """A command's stages, fed from the file it reads once the run starts."""
+    if args.command == "pipeline":
+        yield from run_chain(scenario)
+    elif args.command == "spectrum":
+        yield from _spectrum(scenario,
+                             read_map(args.map_file) if args.map_file else None)
+    elif args.command == "scan":
+        yield from _scan(scenario)
+    elif args.command == "fit":
+        scan_path = args.scan_file or os.path.join(args.out, f"scan.{args.format}")
+        yield from _fit(scenario, read_scan(scan_path)[0], scenario.fit.m)
+    else:  # analyze; argparse enforces the choices
+        params, meta = read_fit_json(args.fit_file
+                                     or os.path.join(args.out, "fit.json"))
+        if not meta["converged"]:
+            raise NonConvergedError(
+                f"refusing to analyze a non-converged fit ({meta['message']}); "
+                "rerun the fit with more iterations or a better seed")
+        yield from _analyze(scenario, params)
 
 
 def _run(args) -> int:
-    scenario = _prepare(args)
+    scenario = load_scenario(args.scenario) if args.scenario else Scenario()
+    if args.seed is not None:  # ScanConfig checks the seed
+        scenario = replace(scenario, scan=replace(scenario.scan, seed=args.seed))
     if args.command == "pipeline" or (args.command == "spectrum"
                                       and not args.map_file):
         scenario.require_map()
-    out_dir, fmt = args.out, args.format
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = {}  # each path a command writes, listed even if a step fails
+    json_ = args.format == "json"
+    writers = {  # output name -> write(result, path)
+        "map": write_map_json if json_ else write_map_csv,
+        "spectrum_bins": lambda r, path: write_json(
+            path, _extraction_sidecar(scenario, *r)),
+        "scan": lambda r, path: (write_scan_json if json_ else write_scan_csv)(
+            *r, path, seed=scenario.scan.seed),
+        "fit": write_fit_json,
+        "dm": write_dm_json,
+        "report": lambda r, path: write_report_json(*r, path),
+    }
+    os.makedirs(args.out, exist_ok=True)
+    outputs = {}  # each path a command writes, listed even if a stage fails
     try:
-        if args.command == "spectrum":
-            cmd_spectrum(scenario, out_dir, fmt, outputs, args.map_file)
-        elif args.command == "scan":
-            cmd_scan(scenario, out_dir, fmt, outputs)
-        elif args.command == "fit":
-            scan_path = args.scan_file or os.path.join(out_dir, f"scan.{fmt}")
-            cmd_fit(scenario, read_scan(scan_path)[0], out_dir, outputs)
-        elif args.command == "analyze":
-            fit_path = args.fit_file or os.path.join(out_dir, "fit.json")
-            params, meta = read_fit_json(fit_path)
-            if not meta["converged"]:
-                raise NonConvergedError(
-                    f"refusing to analyze a non-converged fit ({meta['message']}); "
-                    "rerun the fit with more iterations or a better seed")
-            cmd_analyze(scenario, params, out_dir, outputs)
-        elif args.command == "pipeline":
-            _run_pipeline(scenario, out_dir, fmt, outputs)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
+        for name, result in _stages(args, scenario):
+            # --format applies to the sampled data; the sidecars are JSON.
+            ext = args.format if name in ("map", "scan") else "json"
+            outputs[name] = os.path.join(args.out, f"{name}.{ext}")
+            writers[name](result, outputs[name])
     finally:
+        if args.command == "pipeline":  # the bundle lists the files written
+            bundle_path = os.path.join(args.out, "bundle.json")
+            write_bundle(bundle_path, scenario_to_dict(scenario), dict(outputs),
+                         seed=scenario.scan.seed,
+                         timestamp=datetime.now(timezone.utc).isoformat())
+            outputs["bundle"] = bundle_path
         for path in outputs.values():
             print(f"wrote {path}")
     return EXIT_OK
-
-
-def _run_pipeline(scenario: Scenario, out_dir: str, fmt: str,
-                  outputs: dict) -> None:
-    """Chain all four stages, feeding extraction into fit and analysis. The
-    bundle lists the files written, also when a stage fails."""
-    try:
-        state = cmd_spectrum(scenario, out_dir, fmt, outputs).state
-        scan = cmd_scan(scenario, out_dir, fmt, outputs)
-        # The extracted weights pin the fit's weight-visibility split, so
-        # they are passed along whenever the requested m matches extraction.
-        m_fit = scenario.fit.m if scenario.fit.m is not None else state.dimension_m
-        matched = m_fit == state.dimension_m
-        result = cmd_fit(scenario, scan, out_dir, outputs, m=m_fit,
-                         known_weights=state.weights() if matched else None)
-        cmd_analyze(scenario, result.params, out_dir, outputs,
-                    balances=state.balances() if matched else None)
-    finally:
-        bundle_path = os.path.join(out_dir, "bundle.json")
-        write_bundle(bundle_path, scenario_to_dict(scenario), dict(outputs),
-                     seed=scenario.scan.seed,
-                     timestamp=datetime.now(timezone.utc).isoformat())
-        outputs["bundle"] = bundle_path
 
 
 def main(argv=None) -> int:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hombeat
+import hombeat.io as hio
 from conftest import BENCH_DELAYS_PS, reference_map_csv, reference_map_json
-from hombeat.cli import _build_parser, main
+from hombeat.cli import _build_parser, _extraction_sidecar, main, run_chain
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -466,8 +467,14 @@ class TestPipeline:
 # the exit code, the start of stderr, and the files written (None: not even
 # the output directory, since every configuration error is found before
 # any stage runs). A model with no 2D map still scans: only the commands
-# that build a map refuse it.
+# that build a map refuse it. A failed extraction leaves no map file.
 _FAILURES = [
+    pytest.param("spectrum", b'{"tau1_ps": 3.0}', 3,
+                 "numeric failure: no detectable comb", [],
+                 id="comb-unresolved-spectrum"),
+    pytest.param("pipeline", b'{"tau1_ps": 3.0}', 3,
+                 "numeric failure: no detectable comb", ["bundle.json"],
+                 id="comb-unresolved"),
     pytest.param("pipeline", b'{"tau1_ps": 0.8}', 3,
                  "numeric failure: matrix has an eigenvalue below -1e-9",
                  ["bundle.json", "fit.json", "map.csv", "scan.csv",
@@ -534,6 +541,56 @@ def test_failure_exit_codes(tmp_path, capsys, command, document, rc, message,
     assert err.startswith(message)
     assert "Traceback" not in err
     assert (sorted(os.listdir(out)) if out.exists() else None) == written
+    if written and "bundle.json" in written:  # it lists every other file
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert sorted(os.path.basename(p) for p in bundle["outputs"].values()) \
+            == [name for name in written if name != "bundle.json"]
+
+
+class TestRunChain:
+    _STAGES = ["map", "spectrum_bins", "scan", "fit", "dm", "report"]
+
+    def test_results_write_the_pipeline_files(self, pipeline_runs, tmp_path):
+        scenario_path, run = pipeline_runs[0.27, "csv"]
+        scenario = hombeat.load_scenario(scenario_path)
+        stages = list(run_chain(scenario))
+        assert [name for name, _ in stages] == self._STAGES
+        r = dict(stages)
+        writes = {
+            "map.csv": lambda path: hio.write_map_csv(r["map"], path),
+            "spectrum_bins.json": lambda path: hio.write_json(
+                path, _extraction_sidecar(scenario, *r["spectrum_bins"])),
+            "scan.csv": lambda path: hio.write_scan_csv(
+                *r["scan"], path, seed=scenario.scan.seed),
+            "fit.json": lambda path: hio.write_fit_json(r["fit"], path),
+            "dm.json": lambda path: hio.write_dm_json(r["dm"], path),
+            "report.json": lambda path: hio.write_report_json(*r["report"], path),
+        }
+        for name, write in writes.items():
+            write(str(tmp_path / name))
+            assert read_bytes(tmp_path / name) == read_bytes(run / name), name
+
+    def test_failed_analysis_comes_after_the_fit(self, tmp_path, capsys):
+        # At 0.8 ps the density matrix is not positive: the chain yields the
+        # fit, then raises the ValueError that the CLI reports as exit 3.
+        names = []
+        with pytest.raises(ValueError) as raised:
+            for name, _ in run_chain(hombeat.Scenario(tau1_ps=0.8)):
+                names.append(name)
+        assert names == self._STAGES[:4]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"tau1_ps": 0.8}))
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "run"),
+                     "pipeline"]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {raised.value}\n"
+
+    def test_chain_is_lazy(self):
+        # A scan too large to allocate fails only when the chain reaches it.
+        chain = run_chain(hombeat.Scenario(
+            tau1_ps=0.27, scan=hombeat.ScanConfig(n_points=10**18)))
+        assert [next(chain)[0], next(chain)[0]] == self._STAGES[:2]
+        with pytest.raises(MemoryError):
+            next(chain)
 
 
 class TestConfigurationErrors:
