@@ -167,7 +167,13 @@ def _analyze(scenario: Scenario, params: FringeModelParams, balances=None):
 def run_chain(scenario: Scenario):
     """The paper's chain in process, lazily: yields (output name, result) for
     map, spectrum_bins (extraction, predicted), scan (scan, probabilities),
-    fit, dm and report (report, comparison). A failed stage raises its error."""
+    fit, dm and report (report, comparison). A model with no 2D map raises
+    ScenarioError here, before any stage; a failed stage raises its error."""
+    scenario.require_map()
+    return _chain(scenario)
+
+
+def _chain(scenario: Scenario):
     state = yield from _spectrum(scenario)
     scan = yield from _scan(scenario)
     # The extracted weights pin the fit's weight-visibility split, so they
@@ -181,9 +187,7 @@ def run_chain(scenario: Scenario):
 
 def _stages(args, scenario: Scenario):
     """A command's stages, fed from the file it reads once the run starts."""
-    if args.command == "pipeline":
-        yield from run_chain(scenario)
-    elif args.command == "spectrum":
+    if args.command == "spectrum":
         yield from _spectrum(scenario,
                              read_map(args.map_file) if args.map_file else None)
     elif args.command == "scan":
@@ -205,9 +209,10 @@ def _run(args) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else Scenario()
     if args.seed is not None:  # ScanConfig checks the seed
         scenario = replace(scenario, scan=replace(scenario.scan, seed=args.seed))
-    if args.command == "pipeline" or (args.command == "spectrum"
-                                      and not args.map_file):
+    if args.command == "spectrum" and not args.map_file:
         scenario.require_map()
+    stages = (run_chain(scenario) if args.command == "pipeline"
+              else _stages(args, scenario))
     json_ = args.format == "json"
     writers = {  # output name -> write(result, path)
         "map": write_map_json if json_ else write_map_csv,
@@ -222,7 +227,7 @@ def _run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = {}  # each path a command writes, listed even if a stage fails
     try:
-        for name, result in _stages(args, scenario):
+        for name, result in stages:
             # --format applies to the sampled data; the sidecars are JSON.
             ext = args.format if name in ("map", "scan") else "json"
             outputs[name] = os.path.join(args.out, f"{name}.{ext}")

@@ -82,78 +82,98 @@ def write_json(path: str, payload: dict) -> None:
     _write_text(path, _canonical(payload, "\n") + "\n")
 
 
-# A map file of schema 2 states both axes once, then one row per stored
-# cell; schema 1 listed every cell of the grid.
-MAP_SCHEMA_VERSION = 2
-_MAP_AXES = ["signal_nm", "idler_nm"]
-_MAP_COLUMNS = {"1": _MAP_AXES + ["intensity"],
-                "2": ["signal_index", "idler_index", "intensity"]}
-
-
-def _map_table(map_: JointSpectrumMap) -> dict:
-    """Both axes, then the stored cells' columns, as named lists; both map
-    writers format these after the schema_version."""
-    arrays = (map_.signal_nm, map_.idler_nm, map_.rows, map_.cols, map_.values)
-    return dict(zip(_MAP_AXES + _MAP_COLUMNS["2"],
-                    (np.asarray(a).tolist() for a in arrays)))
-
-
-def write_map_csv(map_: JointSpectrumMap, path: str) -> None:
-    """schema_version and each axis (comma-separated) as comments, then the
-    column names, then one row per stored cell."""
-    table = _map_table(map_)
-    lines = [f"# schema_version={MAP_SCHEMA_VERSION}"]
-    lines += [f"# {a}={','.join(map(repr, table.pop(a)))}" for a in _MAP_AXES]
-    lines.append(",".join(table))
-    lines += map(",".join, zip(*(map(repr, c) for c in table.values())))
+# A table file is a header of named fields plus named columns of one
+# length: maps and scans are tables, in CSV or JSON.
+def _write_table_csv(path: str, header: dict, columns: dict) -> None:
+    """``# key=value`` lines (a list as its comma-joined reprs, a scalar as
+    formatted), the column names, then one row per entry of the columns."""
+    lines = [f"# {key}={','.join(map(repr, v)) if isinstance(v, list) else v}"
+             for key, v in header.items()]
+    lines.append(",".join(columns))
+    lines += map(",".join, zip(*(map(repr, c) for c in columns.values())))
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _write_table_json(path: str, header: dict, columns: dict) -> None:
+    write_json(path, {**header, **columns})
+
+
+def _read_table(path: str, kind: str, columns: list[str], required=(), lists=()):
+    """(header fields, column names, columns) of a table file. JSON: the
+    object, with those of ``columns`` it holds and every one of ``required``.
+    CSV: ``# key=value`` comments (a field of ``lists`` split at its commas),
+    the column names, then the numeric block, parsed whole by numpy: a row
+    with too few or too many fields fails."""
+    if path.endswith(".json"):
+        data = _load_json(path, kind)
+        try:  # {**data} refuses a JSON value that is not an object
+            names = [n for n in columns if n in data or n in required]
+            return {**data}, names, [data[n] for n in names]
+        except (KeyError, TypeError) as exc:
+            raise IOFormatError(f"{kind} file misses required fields: {exc}") from exc
+    lines = _read_text(path, kind).splitlines()
+    header, names = {}, None
+    for k, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            key, eq, value = (s.strip() for s in line.lstrip("#").partition("="))
+            if eq:
+                header[key] = value.split(",") if key in lists else value
+        elif line:
+            names, rows = line.split(","), lines[k + 1:]
+            break
+    if names is None:
+        raise IOFormatError(f"{kind} file has no data rows")
+    if not any(rows):
+        return header, names, np.empty((len(names), 0))
+    try:
+        block = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if block.shape[1] != len(names):
+            raise ValueError(f"{block.shape[1]} fields per row, "
+                             f"{len(names)} column names")
+    except ValueError as exc:
+        raise IOFormatError(f"malformed {kind} row: {exc}") from exc
+    return header, names, block.T
+
+
+# A map file (schema 2) states both axes once, then one row per stored cell.
+MAP_SCHEMA_VERSION = 2
+_MAP_AXES = ["signal_nm", "idler_nm"]
+_MAP_COLUMNS = ["signal_index", "idler_index", "intensity"]
+
+
+def _map_table(map_: JointSpectrumMap):
+    """Header fields (schema_version, both axes) and the stored cells'
+    columns, as lists; both map writers format these."""
+    lists = [np.asarray(a).tolist() for a in (map_.signal_nm, map_.idler_nm,
+                                              map_.rows, map_.cols, map_.values)]
+    return ({"schema_version": MAP_SCHEMA_VERSION, **dict(zip(_MAP_AXES, lists))},
+            dict(zip(_MAP_COLUMNS, lists[2:])))
+
+
+def write_map_csv(map_: JointSpectrumMap, path: str) -> None:
+    _write_table_csv(path, *_map_table(map_))
+
+
 def write_map_json(map_: JointSpectrumMap, path: str) -> None:
-    write_json(path, {"schema_version": MAP_SCHEMA_VERSION, **_map_table(map_)})
+    _write_table_json(path, *_map_table(map_))
 
 
 def read_map(path: str) -> JointSpectrumMap:
-    """Load a map file (CSV or JSON) of either schema into the map of its
-    stored cells; of a schema-1 grid, every cell that is not +0.0."""
+    """Load a map file (CSV or JSON) into the map of its stored cells."""
+    header, names, columns = _read_table(path, "map", _MAP_COLUMNS, lists=_MAP_AXES)
+    version = str(header.get("schema_version"))
+    if version != str(MAP_SCHEMA_VERSION):
+        raise IOFormatError(f"unknown map schema_version {version!r}")
+    if names != _MAP_COLUMNS:
+        raise IOFormatError(f"map file misses required fields: columns {names}")
     try:
-        fields = (_load_json(path, "map") if path.endswith(".json")
-                  else _read_map_csv(path))
-        version, axes = str(fields["schema_version"]), [fields[a] for a in _MAP_AXES]
-        if version == "2":
-            return JointSpectrumMap(*axes, *(fields[n] for n in _MAP_COLUMNS["2"]))
-        if version != "1":
-            raise IOFormatError(f"unknown map schema_version {version!r}")
-        grid = np.asarray(fields["intensity"], dtype=float)
-        if grid.shape != (len(axes[0]), len(axes[1])):
-            raise IOFormatError(f"intensity grid is {grid.shape}, axes are "
-                                f"{len(axes[0])} x {len(axes[1])}")
-        rows, cols = np.nonzero((grid != 0.0) | np.signbit(grid))
-        return JointSpectrumMap(*axes, rows, cols, grid[rows, cols])
+        axes = (np.array(header[a], dtype=float) for a in _MAP_AXES)
+        return JointSpectrumMap(*axes, *columns)
     except (KeyError, TypeError) as exc:
         raise IOFormatError(f"map file misses required fields: {exc}") from exc
     except ValueError as exc:
         raise IOFormatError(f"inconsistent map data: {exc}") from exc
-
-
-def _read_map_csv(path: str) -> dict:
-    """A CSV map as the fields of its JSON twin: a schema-1 file's cell
-    rows become the two axes and the grid."""
-    header, names, columns = _read_csv_table(path, "map")
-    version = header.get("schema_version")
-    if names != _MAP_COLUMNS.get(version):
-        raise IOFormatError(f"unknown map schema_version {version!r} or "
-                            f"columns {names}")
-    if version == "2":
-        axes = {a: np.array(header[a].split(","), dtype=float) for a in _MAP_AXES}
-        return {**header, **axes, **dict(zip(names, columns))}
-    # Schema 1: every cell of the grid, row-major over the signal axis.
-    signal, idler = (np.unique(c) for c in columns[:2])
-    grid = np.stack(np.meshgrid(signal, idler, indexing="ij")).reshape(2, -1)
-    if not np.array_equal(columns[:2], grid):
-        raise IOFormatError("schema-1 map is not a row-major signal x idler grid")
-    return {**header, "signal_nm": signal, "idler_nm": idler,
-            "intensity": columns[2].reshape(signal.size, idler.size)}
 
 
 # The scan file's columns, in file order: a counting scan (counts_per_point
@@ -177,25 +197,18 @@ def _scan_table(scan: FringeScan, model_probs, seed: int | None):
 
 def write_scan_csv(scan: FringeScan, model_probs: np.ndarray, path: str,
                    seed: int | None = None) -> None:
-    """Header fields as comments, then the column names, then one row per delay."""
-    header, columns = _scan_table(scan, model_probs, seed)
-    lines = [f"# {key}={value}" for key, value in header.items()]
-    lines.append(",".join(columns))
-    lines += map(",".join, zip(*(map(repr, c) for c in columns.values())))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_table_csv(path, *_scan_table(scan, model_probs, seed))
 
 
 def write_scan_json(scan: FringeScan, model_probs: np.ndarray, path: str,
                     seed: int | None = None) -> None:
-    header, columns = _scan_table(scan, model_probs, seed)
-    write_json(path, {**header, **columns})
+    _write_table_json(path, *_scan_table(scan, model_probs, seed))
 
 
 def read_scan(path: str):
     """Load a scan file (CSV or JSON). Returns (FringeScan, model_column)."""
-    header, names, columns = (_read_scan_json if path.endswith(".json")
-                              else _read_csv_table)(path)
-    return _scan_from_table(header, names, columns)
+    return _scan_from_table(*_read_table(path, "scan", _SCAN_COLUMNS,
+                                         required=_SCAN_COLUMNS[:2]))
 
 
 def _scan_from_table(header: dict, names: list[str], columns):
@@ -243,44 +256,6 @@ def _load_json(path: str, kind: str):
         return json.loads(_read_text(path, kind))
     except json.JSONDecodeError as exc:
         raise IOFormatError(f"{kind} file is not valid JSON: {exc}") from exc
-
-
-def _read_scan_json(path: str):
-    data = _load_json(path, "scan")
-    try:
-        names = _SCAN_COLUMNS[:2] + [n for n in _SCAN_COLUMNS[2:] if n in data]
-        return data, names, [data[name] for name in names]
-    except (KeyError, TypeError) as exc:
-        raise IOFormatError(f"scan file misses required fields: {exc}") from exc
-
-
-def _read_csv_table(path: str, kind: str = "scan"):
-    """``# key=value`` comments, the column names, then the numeric block,
-    parsed whole by numpy: a row with too few or too many fields fails.
-    Returns the header fields, the column names and the columns."""
-    lines = _read_text(path, kind).splitlines()
-    header, names = {}, None
-    for k, line in enumerate(lines):
-        line = line.strip()
-        if line.startswith("#"):
-            key, eq, value = line.lstrip("#").partition("=")
-            if eq:
-                header[key.strip()] = value.strip()
-        elif line:
-            names, rows = line.split(","), lines[k + 1:]
-            break
-    if names is None:
-        raise IOFormatError(f"{kind} file has no data rows")
-    if not any(rows):
-        return header, names, np.empty((len(names), 0))
-    try:
-        block = np.loadtxt(rows, delimiter=",", ndmin=2)
-        if block.shape[1] != len(names):
-            raise ValueError(f"{block.shape[1]} fields per row, "
-                             f"{len(names)} column names")
-    except ValueError as exc:
-        raise IOFormatError(f"malformed {kind} row: {exc}") from exc
-    return header, names, block.T
 
 
 def _pair_dicts(pairs) -> list[dict]:

@@ -53,9 +53,12 @@ class BiphotonSpectrumModel:
         if self.pump_fwhm_thz < 0:
             raise ValueError("pump_fwhm_thz must be non-negative")
         lam0 = self.center_wavelength_nm  # the widths divide by lam0**2
-        if not (0 < lam0 * lam0 < np.inf and 0 < self.marginal_fwhm_thz < np.inf
-                and 0 < self.sigma_single_thz < np.inf):
-            raise ValueError("the marginal width in THz must be finite and positive")
+        with np.errstate(over="ignore"):  # an overflow reads inf: refused
+            if not (0 < lam0 * lam0 < np.inf and 0 < self.marginal_fwhm_thz < np.inf
+                    and 0 < self.sigma_single_thz
+                    and 2 * np.pi**2 * self.sigma_detuning_thz**2 < np.inf):
+                raise ValueError("the marginal width in THz must be finite and "
+                                 "positive, with a finite detuning variance")
 
     @property
     def center_frequency_thz(self) -> float:
@@ -125,7 +128,8 @@ class BiphotonSpectrumModel:
         G at the stage delays.
         """
         tau = np.asarray(tau_ps, dtype=float)
-        out = np.exp(-2.0 * np.pi**2 * self.sigma_detuning_thz**2 * tau * tau)
+        with np.errstate(over="ignore"):  # tau^2 = inf gives G = exp(-inf) = 0
+            out = np.exp(-2.0 * np.pi**2 * self.sigma_detuning_thz**2 * tau * tau)
         return float(out) if np.isscalar(tau_ps) else out
 
 

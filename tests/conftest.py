@@ -73,24 +73,27 @@ def live_cells(intensity) -> dict:
 
 
 def reference_map_csv(map_) -> str:
-    """A schema-1 CSV map, every cell of the grid, by a per-cell loop: the
-    layout of map files written before schema 2."""
-    lines = ["# schema_version=1", "signal_nm,idler_nm,intensity"]
-    for i, s in enumerate(map_.signal_nm):
-        srep = repr(float(s))
-        row = map_.intensity[i]
-        for j, val in enumerate(map_.idler_nm):
-            lines.append(f"{srep},{repr(float(val))},{repr(float(row[j]))}")
+    """A CSV map file (schema 2) by a per-cell loop: the axes once, then one
+    row per stored cell."""
+    lines = ["# schema_version=2"]
+    for axis in ("signal_nm", "idler_nm"):
+        lines.append(f"# {axis}=" + ",".join(repr(float(v))
+                                             for v in getattr(map_, axis)))
+    lines.append("signal_index,idler_index,intensity")
+    for r, c, v in zip(map_.rows, map_.cols, map_.values):
+        lines.append(f"{int(r)},{int(c)},{float(v)!r}")
     return "\n".join(lines) + "\n"
 
 
 def reference_map_json(map_) -> str:
-    """A schema-1 JSON map, the dense intensity, by json.dumps."""
+    """A JSON map file (schema 2) by json.dumps."""
     return json.dumps({
-        "schema_version": 1,
+        "schema_version": 2,
         "signal_nm": [float(v) for v in map_.signal_nm],
         "idler_nm": [float(v) for v in map_.idler_nm],
-        "intensity": [[float(v) for v in row] for row in map_.intensity],
+        "signal_index": [int(r) for r in map_.rows],
+        "idler_index": [int(c) for c in map_.cols],
+        "intensity": [float(v) for v in map_.values],
     }, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import hombeat
 import hombeat.io as hio
-from conftest import BENCH_DELAYS_PS, reference_map_csv, reference_map_json
+from conftest import BENCH_DELAYS_PS
 from hombeat.cli import _build_parser, _extraction_sidecar, main, run_chain
 
 
@@ -115,43 +115,32 @@ class TestSpectrumFromMapFile:
         assert read_bytes(out / "spectrum_bins.json") == read_bytes(
             run / "spectrum_bins.json")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
-    def test_schema1_map_gives_the_pipeline_bins(self, pipeline_runs, spectrum_maps,
-                                                 tmp_path, tau1, fmt):
-        scenario, run = pipeline_runs[tau1, "csv"]
-        oracle = reference_map_json if fmt == "json" else reference_map_csv
-        v1 = tmp_path / f"v1.{fmt}"
-        v1.write_text(oracle(spectrum_maps[tau1]))
-        out = tmp_path / "again"
-        assert main(["--scenario", scenario, "--out", str(out), "spectrum",
-                     str(v1)]) == 0
-        assert os.listdir(out) == ["spectrum_bins.json"]
-        got, want = (json.loads((d / "spectrum_bins.json").read_text())
-                     for d in (out, run))
-        # A schema-1 grid cannot carry the map's three stored +0.0 cells, and
-        # the blocked sums behind tau1_estimate_ps and the center (so the
-        # lobe widths) round differently without them; the rest is equal.
-        pops = [(got, want, "tau1_estimate_ps"), (got, want, "center_wavelength_nm")]
-        pops += [(g, w, "lobe_fwhm_nm") for g, w in zip(got["pairs"], want["pairs"])]
-        for g, w, key in pops:
-            assert g.pop(key) == pytest.approx(w.pop(key), rel=1e-14, abs=0)
-        assert got == want
+    # Well-formed map files of the retired schema 1: a row per grid cell
+    # (CSV) or the dense grid (JSON).
+    SCHEMA_1 = [
+        "# schema_version=1\nsignal_nm,idler_nm,intensity\n800.0,810.0,1.0\n",
+        json.dumps({"schema_version": 1, "signal_nm": [800.0],
+                    "idler_nm": [810.0], "intensity": [[1.0]]}),
+    ]
 
     @pytest.mark.parametrize("text", [
         None,
         "# schema_version=2\n# signal_nm=800.0\n# idler_nm=810.0\n"
         "signal_index,idler_index,intensity\n0,1,1.0\n",
         "# schema_version=1\nsignal_nm,idler_nm,intensity\n800.0,810.0,oops\n",
+        *SCHEMA_1,
     ])
     def test_missing_or_malformed_map_exits_4(self, tmp_path, capsys, text):
-        path = tmp_path / "map.csv"
+        path = tmp_path / ("map.json" if text and text[0] == "{" else "map.csv")
         if text is not None:
             path.write_text(text)
         out = tmp_path / "run"
         assert main(["--out", str(out), "spectrum", str(path)]) == 4
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
         assert not (out / "spectrum_bins.json").exists()
+        if text in self.SCHEMA_1:
+            assert err.startswith("input format error: unknown map schema_version")
 
 
 class TestModuleEntryPoint:
@@ -203,6 +192,19 @@ class TestScanCommand:
         main(["--scenario", scenario, "--out", str(c), "--seed", "8", "scan"])
         assert read_bytes(a / "scan.csv") == read_bytes(b / "scan.csv")
         assert read_bytes(a / "scan.csv") != read_bytes(c / "scan.csv")
+
+    @pytest.mark.filterwarnings("error")
+    def test_delay_beyond_float_range_squared(self, tmp_path, capsys):
+        # tau1^2 overflows, so G(tau1) = exp(-inf) = 0: a correct scan, and
+        # no overflow warning on stderr.
+        scenario = write_scenario(tmp_path, tau1_ps=1e300,
+                                  scan={"counts_per_point": 0})
+        out = tmp_path / "run"
+        assert main(["--scenario", scenario, "--out", str(out), "scan"]) == 0
+        assert capsys.readouterr().err == ""
+        scan, probs = hio.read_scan(str(out / "scan.csv"))
+        g = hombeat.BiphotonSpectrumModel().detuning_coherence(scan.tau2_ps)
+        assert np.array_equal(probs, 0.5 * (1.0 + g))
 
 
 class TestFitCommand:
@@ -500,6 +502,10 @@ _FAILURES = [
                  "numeric failure: fringe probability undefined at tau1=0.12: "
                  "the first stage has no anti-bunched component", [],
                  id="span-below-float-resolution-scans"),
+    pytest.param("scan", b'{"model": {"marginal_fwhm_nm": 1e300}}', 2,
+                 "configuration error: invalid section 'model': the marginal "
+                 "width in THz must be finite and positive, with a finite "
+                 "detuning variance", None, id="detuning-variance-overflows-scans"),
     pytest.param("pipeline", b'{"fit": {"m": 400}}', 2,
                  "configuration error: fit.m = 400 needs scan.n_points >= 802",
                  None, id="scan-too-short-for-m"),
@@ -583,6 +589,13 @@ class TestRunChain:
         assert main(["--scenario", str(path), "--out", str(tmp_path / "run"),
                      "pipeline"]) == 3
         assert capsys.readouterr().err == f"numeric failure: {raised.value}\n"
+
+    def test_unbuildable_map_is_a_scenario_error(self):
+        # The map check runs before the first stage, as in the CLI (exit 2).
+        scenario = hombeat.Scenario(
+            model=hombeat.BiphotonSpectrumModel(pump_fwhm_thz=0))
+        with pytest.raises(hombeat.ScenarioError, match="pump_fwhm_thz > 0"):
+            next(run_chain(scenario))
 
     def test_chain_is_lazy(self):
         # A scan too large to allocate fails only when the chain reaches it.

@@ -92,6 +92,17 @@ class TestScanCsv:
         assert lines[3] == "tau2_ps,probability_model,counts,sigma"
         assert len(lines) == 4 + scan.n_points
 
+    def test_numpy_integers_in_the_header(self, counting_scan, tmp_path):
+        # Header scalars are formatted, not repr'd: repr(np.int64(5)) is
+        # 'np.int64(5)'.
+        scan, probs = counting_scan
+        scan = FringeScan(scan.tau2_ps, scan.values, np.int64(1000))
+        path = tmp_path / "scan.csv"
+        write_scan_csv(scan, probs, str(path), seed=np.uint64(2**64 - 1))
+        assert path.read_text().splitlines()[:3] == [
+            "# schema_version=1", "# counts_per_point=1000",
+            "# seed=18446744073709551615"]
+
     def test_noiseless_has_two_columns(self, noiseless_scan, tmp_path):
         scan, probs = noiseless_scan
         path = tmp_path / "scan.csv"
@@ -360,14 +371,6 @@ def assert_same_map(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def as_schema1(map_):
-    """The map as a schema-1 grid carries it: its cells that are not +0.0.
-    A simulated map also stores three +0.0 cells (pump mass positive, value
-    0 or underflowed), which a grid cannot tell from unstored ones."""
-    return JointSpectrumMap(map_.signal_nm, map_.idler_nm,
-                            **live_cells(map_.intensity))
-
-
 def read_text(text, path):
     path.write_text(text, encoding="utf-8")
     return read_map(str(path))
@@ -416,39 +419,30 @@ _HAND_VALUES = [[-0.0, 5e-324, 1e-05], [1e16, 1.0, 0.0]]
 
 
 class TestMapWriterOracles:
-    """Both writers and the schema-1 oracles (every grid cell, as map files
-    were written before schema 2) decode to the map bit for bit; a grid
-    keeps the cells that are not +0.0."""
+    """Both writers write their oracle's bytes (a per-cell loop for CSV,
+    json.dumps for JSON), and each file decodes to the map bit for bit,
+    its stored +0.0 cells included."""
 
     @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
     def test_csv_equals_per_cell_loop(self, spectrum_maps, tau1, tmp_path):
         map_ = spectrum_maps[tau1]
-        v1 = read_text(reference_map_csv(map_), tmp_path / "v1.csv")
-        assert_same_map(v1, as_schema1(map_))
-        assert v1.intensity.tobytes() == map_.intensity.tobytes()
         assert_same_map(round_trip(map_, tmp_path / "map.csv"), map_)
-        assert (tmp_path / "map.csv").stat().st_size * 100 < (
-            tmp_path / "v1.csv").stat().st_size
+        assert (tmp_path / "map.csv").read_text() == reference_map_csv(map_)
 
     @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
     def test_json_equals_json_dumps(self, spectrum_maps, tau1, tmp_path):
         map_ = spectrum_maps[tau1]
-        v1 = read_text(reference_map_json(map_), tmp_path / "v1.json")
-        assert_same_map(v1, as_schema1(map_))
-        assert v1.intensity.tobytes() == map_.intensity.tobytes()
         assert_same_map(round_trip(map_, tmp_path / "map.json"), map_)
-        assert (tmp_path / "map.json").stat().st_size * 10 < (
-            tmp_path / "v1.json").stat().st_size
+        assert (tmp_path / "map.json").read_text() == reference_map_json(map_)
 
     def test_hand_built_map_keeps_every_repr(self, tmp_path):
         map_ = JointSpectrumMap(signal_nm=np.array([5e-324, 1e16]),
                                 idler_nm=np.array([-0.0, 1e-05, 1.0]),
                                 **live_cells(_HAND_VALUES))
-        for name, text in (("v1.csv", reference_map_csv(map_)),
-                           ("v1.json", reference_map_json(map_))):
-            assert_same_map(read_text(text, tmp_path / name), map_)
-        for name in ("map.csv", "map.json"):
+        for name, text in (("map.csv", reference_map_csv(map_)),
+                           ("map.json", reference_map_json(map_))):
             assert_same_map(round_trip(map_, tmp_path / name), map_)
+            assert (tmp_path / name).read_text() == text
         csv_text = (tmp_path / "map.csv").read_text()
         assert "# signal_nm=5e-324,1e+16\n# idler_nm=-0.0,1e-05,1.0\n" in csv_text
         assert csv_text.endswith("\n0,0,-0.0\n0,1,5e-324\n0,2,1e-05\n"
@@ -488,23 +482,25 @@ class TestMapWriterOracles:
         intensity = floats(rows * cols).reshape(rows, cols)
         map_ = SimpleNamespace(signal_nm=floats(rows), idler_nm=floats(cols),
                                intensity=intensity, **live_cells(intensity))
-        texts = {"v1.csv": reference_map_csv(map_)}
+        texts = {"map.csv": reference_map_csv(map_)}
         try:
-            texts["v1.json"] = reference_map_json(map_)
+            texts["map.json"] = reference_map_json(map_)
         except ValueError:
             pass
+        for name, text in texts.items():
+            (write_map_json if name == "map.json" else write_map_csv)(
+                map_, str(tmp_path / name))
+            assert (tmp_path / name).read_text() == text
         try:
             want = JointSpectrumMap(map_.signal_nm, map_.idler_nm, map_.rows,
                                     map_.cols, map_.values)
         except ValueError:
-            for name, text in texts.items():
+            for name in texts:
                 with pytest.raises(IOFormatError):
-                    read_text(text, tmp_path / name)
+                    read_map(str(tmp_path / name))
         else:
-            for name, text in texts.items():
-                assert_same_map(read_text(text, tmp_path / name), want)
-            for name in ("map.csv", "map.json"):
-                assert_same_map(round_trip(want, tmp_path / name), want)
+            for name in texts:
+                assert_same_map(read_map(str(tmp_path / name)), want)
 
 
 class TestMapReaderErrors:
@@ -550,19 +546,6 @@ class TestMapReaderErrors:
         path.write_text(self.v2_text(fmt, **change))
         with pytest.raises(IOFormatError, match=match):
             read_map(str(path))
-
-    @pytest.mark.parametrize("drop", [0, 1, 300, 575])
-    def test_schema1_csv_missing_a_grid_row(self, small_map, tmp_path, drop):
-        lines = reference_map_csv(small_map).splitlines()
-        del lines[2 + drop]
-        with pytest.raises(IOFormatError, match="grid"):
-            read_text("\n".join(lines) + "\n", tmp_path / "v1.csv")
-
-    def test_schema1_json_grid_must_match_the_axes(self, small_map, tmp_path):
-        doc = json.loads(reference_map_json(small_map))
-        doc["intensity"] = doc["intensity"][:-1]
-        with pytest.raises(IOFormatError, match="grid"):
-            read_text(json.dumps(doc), tmp_path / "v1.json")
 
     @pytest.mark.parametrize("name, text, match", [
         ("map.json", "{oops", "not valid JSON"),
