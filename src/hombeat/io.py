@@ -172,7 +172,7 @@ def read_map(path: str) -> JointSpectrumMap:
         return JointSpectrumMap(*axes, *columns)
     except (KeyError, TypeError) as exc:
         raise IOFormatError(f"map file misses required fields: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # JSON ints beyond float range
         raise IOFormatError(f"inconsistent map data: {exc}") from exc
 
 
@@ -235,7 +235,7 @@ def _scan_from_table(header: dict, names: list[str], columns):
         if counted and (counted[1].shape != scan.values.shape or not np.allclose(
                 counted[1], scan.uncertainties, rtol=0, atol=1e-9)):
             raise ValueError("sigma must be sqrt(count) with a one-count floor")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IOFormatError(f"inconsistent scan data: {exc}") from exc
     if scan.n_points < 3:
         raise IOFormatError(f"scan has {scan.n_points} points, need at least 3")

@@ -287,6 +287,16 @@ class TestScanJson:
         with pytest.raises(IOFormatError, match="inconsistent scan data"):
             read_scan(str(path))
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "counts_per_point": 0, "tau2_ps": [0.0, 0.1, 0.2],
+            "probability_model": [0.5, 10**400, 0.5]}))
+        with pytest.raises(IOFormatError, match="inconsistent scan data"):
+            read_scan(str(path))
+        assert main(["--out", str(tmp_path / "run"), "fit", str(path)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_counting_scan_without_counts(self, tmp_path):
         path = tmp_path / "nc.json"
         path.write_text(json.dumps({
@@ -540,6 +550,7 @@ class TestMapReaderErrors:
         ({"idler_index": [0, 0.5, 1]}, "integer"),
         ({"names": ["signal_nm", "idler_nm", "intensity"]}, "columns|required"),
         ({"names": ["row", "col", "intensity"]}, "columns|required"),
+        ({"intensity": [0.5, 10**400, 0.25]}, "finite|too large"),
     ])
     def test_rejected(self, tmp_path, fmt, change, match):
         path = tmp_path / f"map.{fmt}"
