@@ -16,7 +16,8 @@ import argparse
 
 import numpy as np
 
-from hombeat import fit_fringe_scan, fringe_params_from_reference, synth_scan
+from hombeat import fit_fringe_scan, synth_scan
+from hombeat.reference import fringe_params_from_reference
 
 
 def main() -> None:

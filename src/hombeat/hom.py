@@ -5,9 +5,10 @@ comb; the second delay tau2 produces spatial-beating fringes between the
 anti-bunched components. Every delay-domain probability here is a closed
 form in G(tau), the Fourier transform of the model's detuning density
 (``BiphotonSpectrumModel.detuning_coherence``), which is exact for any pump
-width. Only the wavelength-domain maps are sampled on a grid: their span
-and the exact pump integral over each cell live here, and the rest of each
-cell's value is the model's ``phase_matching`` factor.
+width. Only the wavelength-domain maps are sampled on a grid: the exact
+pump integral over each cell lives here, the span comes from the model's
+``detuning_reach_thz``, and the rest of each cell's value is the model's
+``phase_matching`` factor.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ __all__ = [
     "fringe_probability",
     "fringe_scan",
 ]
-
-# Map axes span nu0 +- this many single-photon standard deviations, which
-# cuts off a Gaussian mass below 1e-7, inside the 1e-6 normalization budget.
-_SPAN_SIGMAS = 5.5
 
 # math.erf(x) is exactly +-1.0 in double precision for |x| >= 5.9216, so
 # erf is evaluated only inside this reach.
@@ -138,7 +135,7 @@ def map_problem(model: BiphotonSpectrumModel, n_points: int = 512) -> str | None
     """Why no map of ``model`` with ``n_points`` per axis can be built, or None."""
     if n_points < 16:
         return "grid needs at least 16 points per axis"
-    nu0, half = model.center_frequency_thz, _SPAN_SIGMAS * model.sigma_single_thz
+    nu0, half = model.center_frequency_thz, 0.5 * model.detuning_reach_thz
     if nu0 - half <= 0:
         return "grid frequencies must be positive"
     if model.pump_sigma_thz <= 0:
@@ -153,7 +150,7 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
                          detuning_factor) -> JointSpectrumMap:
     """Wavelength-domain map of pump x phase matching x detuning_factor(d).
 
-    The axes span nu0 +- _SPAN_SIGMAS single-photon standard deviations in
+    The axes span nu0 +- half the model's ``detuning_reach_thz`` in
     n_points uniform wavelength steps. The narrow pump factor is integrated
     exactly over each cell (the map would otherwise alias badly for a
     near-CW pump), while the slowly varying ``model.phase_matching`` and the
@@ -168,7 +165,7 @@ def _wavelength_cell_map(model: BiphotonSpectrumModel, n_points: int,
     if problem := map_problem(model, n_points):
         raise ValueError(problem)
     nu0 = model.center_frequency_thz
-    half = _SPAN_SIGMAS * model.sigma_single_thz
+    half = 0.5 * model.detuning_reach_thz
     sig_p = model.pump_sigma_thz
 
     lam = np.linspace(C_NM_PER_PS / (nu0 + half), C_NM_PER_PS / (nu0 - half),

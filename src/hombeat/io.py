@@ -15,6 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .density import EntanglementReport, EofComparison, RestrictedDensityMatrix
 from .fringes import FitResult, FringeModelParams, FringePairParams, FringeScan
 from .spectral import JointSpectrumMap
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 
 class IOFormatError(RuntimeError):
@@ -218,8 +218,11 @@ def _scan_from_table(header: dict, names: list[str], columns):
         raise IOFormatError(f"unexpected scan columns: {names}")
     try:
         cpp = int(str(header.get("counts_per_point", 0)))
+        float(cpp)  # counts are divided by it
     except ValueError as exc:
         raise IOFormatError("counts_per_point is not an integer") from exc
+    except OverflowError as exc:
+        raise IOFormatError("counts_per_point is beyond float range") from exc
     counting = names == _SCAN_COLUMNS
     if cpp >= 1 and not counting:
         raise IOFormatError("counting scan lacks counts/sigma columns")
@@ -296,13 +299,15 @@ def read_fit_json(path: str) -> tuple[FringeModelParams, dict]:
             for p in data["pairs"]
         )
         params = FringeModelParams(
-            coherence_time_ps=data["coherence_time_ps"], pairs=pairs)
+            coherence_time_ps=float(data["coherence_time_ps"]), pairs=pairs)
         meta = {"converged": bool(data["converged"]),
                 "message": str(data.get("message", "")),
                 "residual_norm": float(data["residual_norm"]),
                 "n_iterations": int(data["n_iterations"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise IOFormatError(f"fit file misses required fields: {exc}") from exc
+    except OverflowError as exc:  # JSON ints beyond float range
+        raise IOFormatError(f"fit value beyond float range: {exc}") from exc
     return params, meta
 
 

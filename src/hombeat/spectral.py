@@ -4,11 +4,11 @@ The source model is a product of two Gaussians in ordinary frequency: a
 narrow pump factor in the sum frequency nu1+nu2 (energy conservation) and a
 broad phase-matching factor in the difference nu1-nu2. Everything downstream
 (coincidence spectra, fringe scans, bin prediction) asks the model class
-for its detuning factor: density, coherence, map factor and lobe reach, so
-a source of another shape is one subclass. ``JointSpectrumMap`` holds a
-sampled wavelength-domain map as its live cells, which ``hombeat.hom``
-builds on axes set by the model and the point count alone; its dense
-``intensity`` is a view made on request.
+for its detuning factor: density, coherence, map factor and reach (lobe
+table and map span), so a source of another shape is one subclass.
+``JointSpectrumMap`` holds a sampled wavelength-domain map as its live
+cells, which ``hombeat.hom`` builds on axes set by the model and the point
+count alone; its dense ``intensity`` is a view made on request.
 """
 
 from __future__ import annotations
@@ -95,9 +95,11 @@ class BiphotonSpectrumModel:
 
     @property
     def detuning_reach_thz(self) -> float:
-        """|d| beyond which the lobe table of ``predict_bins`` stops: six
-        detuning standard deviations, where the tail mass is below 2e-9."""
-        return 6.0 * self.sigma_detuning_thz
+        """|d| beyond which the spectrum is treated as empty: 5.5 detuning
+        standard deviations, where the tail mass is below 4e-8. The lobe
+        table of ``predict_bins`` stops there, and the maps of ``hom`` span
+        signal and idler frequencies nu0 +- half of it."""
+        return 5.5 * self.sigma_detuning_thz
 
     def detuning_density(self, detuning_thz):
         """Marginal density of the detuning d = nu1 - nu2, in 1/THz.

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,37 @@ class _NarrowDetuningModel(BiphotonSpectrumModel):
     @property
     def sigma_detuning_thz(self) -> float:
         return 0.8 * 2.0 * self.sigma_single_thz
+
+
+@dataclass(frozen=True)
+class _WideDetuningModel(BiphotonSpectrumModel):
+    """A source whose detuning spread is ``widen`` x 2 sigma_1, wider than
+    the default anti-correlated pair, with the default marginal."""
+
+    widen: float = 1.3
+
+    @property
+    def sigma_detuning_thz(self) -> float:
+        return self.widen * 2.0 * self.sigma_single_thz
+
+
+@pytest.mark.parametrize("widen", [1.3, 1.6])
+class TestWideDetuningSource:
+    def test_map_span_keeps_the_normalization_budget(self, widen):
+        # The map spans the model's own reach, so a wider source still
+        # integrates to 1 within 2e-6; a span fixed at 5.5 sigma_1 would
+        # lose 2.2e-5 at 1.3x and 5.7e-4 at 1.6x.
+        mass = jsi_map(_WideDetuningModel(widen=widen)).cell_masses().sum()
+        assert abs(mass - 1.0) < 2e-6
+
+    @pytest.mark.parametrize("tau1", [0.12, 0.27, 0.37])
+    def test_map_and_prediction_agree(self, widen, tau1):
+        wide = _WideDetuningModel(widen=widen)
+        got = extract_bins_from_map(coincidence_spectrum(wide, tau1)).state
+        want = predict_bins(wide, tau1)
+        assert got.dimension_m == want.dimension_m
+        assert np.allclose(got.detunings_thz(), want.detunings_thz(),
+                           rtol=1e-3, atol=0)
 
 
 class TestExtraction:

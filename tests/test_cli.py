@@ -377,6 +377,19 @@ class TestAnalyzeCommand:
         rc = main(["--out", str(tmp_path), "analyze"])
         assert rc == 4
 
+    @pytest.mark.parametrize("field", ["weight", "residual_norm",
+                                       "coherence_time_ps"])
+    def test_integer_beyond_float_range_exits_4(self, pipeline_runs, tmp_path,
+                                                capsys, field):
+        fit = json.loads((pipeline_runs[0.27, "csv"][1] / "fit.json").read_text())
+        (fit["pairs"][0] if field == "weight" else fit)[field] = 10**400
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit))
+        assert main(["--out", str(tmp_path / "run"), "analyze", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("input format error: fit value beyond float range")
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("command, name", [
     ("fit", "scan.csv"), ("fit", "scan.json"), ("analyze", "fit.json")])
@@ -679,6 +692,8 @@ def _scenario_docs(draw):
 
 
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6),
+                         st.integers(10**309, 10**401),
+                         st.integers(-10**401, -10**309),
                          st.floats(allow_nan=True), st.text(max_size=3),
                          st.lists(st.floats(-1e3, 1e3), max_size=4))
 _TOKENS = [b"", b"nan", b"inf", b"-1", b"0", b"1e308", b"-0.0", b",", b"\n",

@@ -297,6 +297,19 @@ class TestScanJson:
         assert main(["--out", str(tmp_path / "run"), "fit", str(path)]) == 4
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_counts_per_point_beyond_float_range(self, tmp_path, capsys):
+        # The fit divides the counts by counts_per_point as a float.
+        counts = [500.0, 480.0, 510.0]
+        path = tmp_path / "huge_cpp.json"
+        path.write_text(json.dumps({
+            "counts_per_point": 10**400, "tau2_ps": [0.0, 0.1, 0.2],
+            "probability_model": [0.5, 0.5, 0.5], "counts": counts,
+            "sigma": [c ** 0.5 for c in counts]}))
+        with pytest.raises(IOFormatError, match="beyond float range"):
+            read_scan(str(path))
+        assert main(["--out", str(tmp_path / "run"), "fit", str(path)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_counting_scan_without_counts(self, tmp_path):
         path = tmp_path / "nc.json"
         path.write_text(json.dumps({
