@@ -133,7 +133,12 @@ def predict_bins(model: BiphotonSpectrumModel, tau1_ps: float,
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
 
-    k = np.arange(max(2, int(np.ceil(model.detuning_reach_thz * tau1)) + 1))
+    with np.errstate(over="ignore"):  # an overflow reads inf: refused
+        lobes = model.detuning_reach_thz * tau1
+    if not np.isfinite(lobes):
+        raise ValueError(f"the lobe count at tau1 = {tau1:g} ps is beyond "
+                         "the float range")
+    k = np.arange(max(2, int(np.ceil(lobes)) + 1))
     vol = np.zeros(k.size)
     moment = np.zeros(k.size)
     # One Gauss-Legendre pass over all lobes at once. At fraction s of the

@@ -143,14 +143,25 @@ def _scan(scenario: Scenario):
     return scan
 
 
-def _fit(scenario: Scenario, scan: FringeScan, m: int | None, known_weights=None):
-    """The fringe fit; one that did not converge is yielded, then raises."""
-    result = fit_fringe_scan(scan, m=m, known_weights=known_weights,
+def _fit(scenario: Scenario, scan: FringeScan, bins, known_weights=None):
+    """The fringe fit with fit.m bins, or the m of the command's bins() when
+    that is null; one that did not converge is yielded, then raises."""
+    result = fit_fringe_scan(scan, m=scenario.fit.m or bins().dimension_m,
+                             known_weights=known_weights,
                              max_iterations=scenario.fit.max_iterations)
     yield "fit", result
     if not result.converged:
         raise NonConvergedError(f"fit did not converge: {result.message}")
     return result
+
+
+def _source_bins(scenario: Scenario, scan: FringeScan):
+    """The source's predicted bins, for a scan long enough to beat at tau1."""
+    if abs(scan.tau2_ps).max() < scenario.tau1_ps:
+        raise ValueError(f"the scan's tau2 range [{scan.tau2_ps.min():g}, "
+                         f"{scan.tau2_ps.max():g}] ps does not reach tau1 = "
+                         f"{scenario.tau1_ps:g} ps; set fit.m")
+    return predict_bins(scenario.model, scenario.tau1_ps, threshold=BIN_THRESHOLD)
 
 
 def _analyze(scenario: Scenario, params: FringeModelParams, balances=None):
@@ -176,12 +187,10 @@ def run_chain(scenario: Scenario):
 def _chain(scenario: Scenario):
     state = yield from _spectrum(scenario)
     scan = yield from _scan(scenario)
-    # The extracted weights pin the fit's weight-visibility split, so they
-    # are passed along whenever the requested m matches extraction.
-    m = scenario.fit.m if scenario.fit.m is not None else state.dimension_m
-    weights, balances = ((state.weights(), state.balances())
-                         if m == state.dimension_m else (None, None))
-    fit = yield from _fit(scenario, scan, m, weights)
+    # The extracted weights pin the weight-visibility split when m is theirs.
+    weights, balances = ((state.weights(), state.balances()) if scenario.fit.m
+                         in (None, state.dimension_m) else (None, None))
+    fit = yield from _fit(scenario, scan, lambda: state, weights)
     yield from _analyze(scenario, fit.params, balances)
 
 
@@ -194,7 +203,8 @@ def _stages(args, scenario: Scenario):
         yield from _scan(scenario)
     elif args.command == "fit":
         scan_path = args.scan_file or os.path.join(args.out, f"scan.{args.format}")
-        yield from _fit(scenario, read_scan(scan_path)[0], scenario.fit.m)
+        scan = read_scan(scan_path)[0]
+        yield from _fit(scenario, scan, lambda: _source_bins(scenario, scan))
     else:  # analyze; argparse enforces the choices
         params, meta = read_fit_json(args.fit_file
                                      or os.path.join(args.out, "fit.json"))

@@ -189,12 +189,9 @@ def synth_scan(params: FringeModelParams, tau2_min_ps: float, tau2_max_ps: float
     return scan
 
 
-def _significant_dft_peaks(scan: FringeScan) -> tuple[np.ndarray, np.ndarray]:
-    """Local maxima of the oscillation spectrum that clear the noise floor.
-
-    Returns (frequencies, magnitudes) sorted by descending magnitude with
-    ties broken toward lower frequency.
-    """
+def _significant_dft_peaks(scan: FringeScan) -> np.ndarray:
+    """Frequencies of the oscillation spectrum's local maxima that clear the
+    noise floor, strongest first, ties broken toward lower frequency."""
     y = scan.probabilities() - 0.5
     n = y.size
     dt = scan.tau2_ps[1] - scan.tau2_ps[0]
@@ -212,8 +209,7 @@ def _significant_dft_peaks(scan: FringeScan) -> tuple[np.ndarray, np.ndarray]:
            if mag[k] >= mag[k - 1] and mag[k] >= mag[k + 1]
            and mag[k] >= floor and mag[k] > 1e-12]
     idx.sort(key=lambda k: (-mag[k], k))
-    idx = np.asarray(idx, dtype=int)
-    return freqs[idx], mag[idx]
+    return freqs[np.asarray(idx, dtype=int)]
 
 
 def seed_guess(scan: FringeScan, m: int) -> FringeModelParams:
@@ -230,7 +226,7 @@ def seed_guess(scan: FringeScan, m: int) -> FringeModelParams:
     if scan.n_points < 2 * m + 2:
         raise ValueError(f"scan too short: need at least {2 * m + 2} samples "
                          f"for m={m}, got {scan.n_points}")
-    freqs, _ = _significant_dft_peaks(scan)
+    freqs = _significant_dft_peaks(scan)
     if freqs.size < n_pairs:
         raise ValueError(f"found {freqs.size} significant spectral peaks, "
                          f"need {n_pairs}")
@@ -341,9 +337,9 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
         The data; counts are fitted as probabilities with Poisson weights,
         noiseless scans unweighted.
     m:
-        Number of frequency bins. When ``initial`` is omitted the starting
-        point comes from seed_guess; when ``m`` is also omitted the pair
-        count is taken from the number of significant spectral peaks.
+        Number of frequency bins, from the source's bins (extracted or
+        predicted); the starting point then comes from seed_guess. One of
+        ``m`` and ``initial`` is required.
     known_weights:
         Per-pair weights in ascending-detuning order, when an independent
         spectral measurement provides them. The fit itself determines only
@@ -355,18 +351,11 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
     max_iterations:
         Accepted LM steps after which the fit stops unconverged.
     """
-    if initial is not None:
-        if m is not None and m != 2 * len(initial.pairs):
-            raise ValueError("m disagrees with the initial parameter count")
-        seed = initial
-    else:
-        if m is None:
-            freqs, _ = _significant_dft_peaks(scan)
-            if freqs.size == 0:
-                raise ValueError("no significant spectral peaks; cannot "
-                                 "auto-detect the bin count")
-            m = 2 * int(freqs.size)
-        seed = seed_guess(scan, m)
+    if m is None and initial is None:
+        raise ValueError("the fit needs the bin count m or initial parameters")
+    if initial is not None and m not in (None, 2 * len(initial.pairs)):
+        raise ValueError("m disagrees with the initial parameter count")
+    seed = initial if initial is not None else seed_guess(scan, m)
     theta0 = _pack(seed)
     n_pairs = len(seed.pairs)
     if scan.n_points <= theta0.size:

@@ -138,8 +138,14 @@ def map_problem(model: BiphotonSpectrumModel, n_points: int = 512) -> str | None
     nu0, half = model.center_frequency_thz, 0.5 * model.detuning_reach_thz
     if nu0 - half <= 0:
         return "grid frequencies must be positive"
-    if model.pump_sigma_thz <= 0:
+    sig_p = model.pump_sigma_thz
+    if sig_p <= 0:
         return "2D maps need pump_fwhm_thz > 0"
+    with np.errstate(over="ignore", divide="ignore"):  # inf reads: refused
+        if not (0 < sig_p * sig_p < np.inf and
+                0 < 1 / (np.pi * sig_p * model.sigma_detuning_thz) < np.inf):
+            return ("2D maps need a pump whose sigma_p^2 and map norm "
+                    "1/(pi sigma_p sigma_d) are finite and positive")
     low, high = C_NM_PER_PS / (nu0 + half), C_NM_PER_PS / (nu0 - half)
     if high - low <= 2 * (n_points - 1) * math.ulp(high):  # linspace errs <= ulp/2
         return "wavelength span too narrow for a strictly increasing axis"
@@ -207,6 +213,11 @@ def coincidence_spectrum(model: BiphotonSpectrumModel, tau1_ps: float,
     multiplied by the anti-bunching factor (1 - cos(2*pi*d*tau1))/2.
     """
     tau1 = _fold_delay(tau1_ps)
+    with np.errstate(over="ignore"):  # an overflow reads inf: refused
+        phase = 2.0 * np.pi * model.detuning_reach_thz * tau1
+    if not np.isfinite(phase):
+        raise ValueError("the comb phase 2 pi d tau1 over the map span is not "
+                         f"finite at tau1 = {tau1:g} ps")
     return _wavelength_cell_map(
         model, n_points,
         lambda d: 0.5 * (1.0 - np.cos(2.0 * np.pi * d * tau1)))

@@ -87,7 +87,8 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fringe-fit settings; m = None auto-detects the bin count."""
+    """Fringe-fit settings; m = None fits the m of the source's bins, the
+    extracted ones in the pipeline, the predicted ones in a stand-alone fit."""
 
     m: int | None = None
     max_iterations: int = MAX_ITERATIONS

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -350,6 +351,39 @@ class TestFitCommand:
         fit = json.loads((out / "fit.json").read_text())
         assert fit["converged"] is False
 
+    @pytest.mark.parametrize("tau1", BENCH_DELAYS_PS)
+    def test_null_m_takes_the_source_bin_count(self, tmp_path, tau1):
+        # With fit.m null the stand-alone fit has the m that spectrum
+        # writes, not a count of the scan's beat-spectrum peaks.
+        scenario = write_scenario(tmp_path, tau1_ps=tau1, fit={"m": None},
+                                  scan={"n_points": 601, "counts_per_point": 0})
+        out = tmp_path / "run"
+        for command in ("spectrum", "scan", "fit"):
+            assert main(["--scenario", scenario, "--out", str(out), command]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        bins = json.loads((out / "spectrum_bins.json").read_text())
+        assert fit["converged"] is True
+        assert 2 * len(fit["pairs"]) == bins["dimension_m"]
+
+    @pytest.mark.parametrize("tau1", [0.8, 1e7])
+    def test_null_m_needs_a_scan_that_reaches_tau1(self, tmp_path, capsys, tau1):
+        # A scan over +-0.75 ps shows no beat at the comb spacing of a
+        # longer tau1, and is refused before the lobe table is built: at
+        # 1e7 ps that table would take gigabytes.
+        scenario = write_scenario(tmp_path, tau1_ps=tau1, fit={"m": None},
+                                  scan={"n_points": 601})
+        out = tmp_path / "run"
+        assert main(["--scenario", scenario, "--out", str(out), "scan"]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        rc = main(["--scenario", scenario, "--out", str(out), "fit"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: the scan's tau2 range [-0.75, 0.75] ps does not "
+            f"reach tau1 = {tau1:g} ps; set fit.m\n")
+        assert not (out / "fit.json").exists()
+
 
 class TestAnalyzeCommand:
     def test_analyze_after_fit(self, tmp_path):
@@ -478,8 +512,10 @@ class TestPipeline:
         assert sidecar["dimension_m"] == 2
 
 
-# One row per cause of a failed run: the command, the scenario file's bytes,
-# the exit code, the start of stderr, and the files written (None: not even
+# One row per cause of a failed run: the command (MAP stands for the default
+# pipeline's map file), the scenario file's bytes, the exit code, the start
+# of stderr (a whole line when it ends in a newline; every warning is an
+# error here, so none can come first), and the files written (None: not even
 # the output directory, since every configuration error is found before
 # any stage runs). A model with no 2D map still scans: only the commands
 # that build a map refuse it. A failed extraction leaves no map file.
@@ -499,6 +535,22 @@ _FAILURES = [
                  id="cw-pump"),
     pytest.param("scan", b'{"model": {"pump_fwhm_thz": 0}}', 0, "",
                  ["scan.csv"], id="cw-pump-scans"),
+    pytest.param("spectrum", b'{"model": {"pump_fwhm_thz": 1e300}}', 2,
+                 "configuration error: 2D maps need a pump whose sigma_p^2 and "
+                 "map norm 1/(pi sigma_p sigma_d) are finite and positive\n",
+                 None, id="pump-sigma-squared-overflows"),
+    pytest.param("spectrum", b'{"model": {"pump_fwhm_thz": 1e-300, '
+                 b'"marginal_fwhm_nm": 1e-10}}', 2,
+                 "configuration error: 2D maps need a pump whose sigma_p^2 and "
+                 "map norm 1/(pi sigma_p sigma_d) are finite and positive\n",
+                 None, id="map-norm-overflows"),
+    pytest.param("spectrum", b'{"tau1_ps": 1e308}', 3,
+                 "numeric failure: the comb phase 2 pi d tau1 over the map span "
+                 "is not finite at tau1 = 1e+308 ps\n", [],
+                 id="comb-phase-overflows"),
+    pytest.param("spectrum MAP", b'{"tau1_ps": 1e308}', 3,
+                 "numeric failure: the lobe count at tau1 = 1e+308 ps is beyond "
+                 "the float range\n", [], id="lobe-count-overflows"),
     pytest.param("pipeline", b'{"model": {"marginal_fwhm_nm": 400}}', 2,
                  "configuration error: grid frequencies must be positive", None,
                  id="span-below-0-THz"),
@@ -549,13 +601,16 @@ _FAILURES = [
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, document, rc, message, written", _FAILURES)
-def test_failure_exit_codes(tmp_path, capsys, command, document, rc, message,
-                            written):
+def test_failure_exit_codes(request, tmp_path, capsys, command, document, rc,
+                            message, written):
     path = tmp_path / "scenario.json"
     path.write_bytes(document)
     out = tmp_path / "run"
-    assert main(["--scenario", str(path), "--out", str(out), command]) == rc
+    args = [str(request.getfixturevalue("pipeline_runs")[0.12, "csv"][1]
+                / "map.csv") if arg == "MAP" else arg for arg in command.split()]
+    assert main(["--scenario", str(path), "--out", str(out), *args]) == rc
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
@@ -729,9 +784,10 @@ def _exit_code(argv):
         return main(argv)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestExitCodeFuzz:
     """Random scenarios and malformed input files end in a documented exit
-    code (0, 2, 3 or 4), never in an exception."""
+    code (0, 2, 3 or 4), never in an exception, nor in a numpy warning."""
 
     @settings(max_examples=60, deadline=timedelta(seconds=5))
     @given(doc=_scenario_docs(),

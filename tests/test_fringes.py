@@ -326,18 +326,10 @@ class TestVisibilitySplit:
 
 
 class TestFitFringeScan:
-    def test_auto_bin_count_from_spectral_peaks(self):
-        for tau1 in SCAN_DELAYS_PS:
-            truth = fringe_params_from_reference(tau1)
-            scan = synth_scan(truth, -0.75, 0.75, 601, 0)
-            fit = fit_fringe_scan(scan)
-            assert fit.params.dimension_m == truth.dimension_m
-
-    def test_auto_bin_count_needs_a_peak(self):
-        flat = FringeModelParams(0.94, (
-            FringePairParams(1.0, 2.0, 0.0, 180.0),))
-        scan = synth_scan(flat, -0.75, 0.75, 201, 0)
-        with pytest.raises(ValueError, match="auto-detect"):
+    def test_bin_count_or_initial_is_required(self):
+        # The scan's beat spectrum does not choose m: the source's bins do.
+        scan = synth_scan(fringe_params_from_reference(0.27), -0.75, 0.75, 601, 0)
+        with pytest.raises(ValueError, match="bin count m or initial"):
             fit_fringe_scan(scan)
 
     def test_m_must_match_explicit_initial(self):
