@@ -285,12 +285,6 @@ def _pack(params: FringeModelParams) -> np.ndarray:
     return np.asarray(theta, dtype=float)
 
 
-def _unpack(theta: np.ndarray):
-    comps = [(float(mu), float(_sigmoid(z)), float(np.rad2deg(phi) % 360.0))
-             for mu, z, phi in theta[1:].reshape(-1, 3)]
-    return float(np.exp(theta[0])), comps
-
-
 def _theta_model(tau2_ps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Fringe model evaluated on the internal parameter vector.
 
@@ -374,14 +368,17 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
 
     lm_res = levenberg_marquardt(residual, theta0, max_iterations, jacobian)
 
-    # cos(2 pi mu tau + phi) = cos(2 pi (-mu) tau - phi): each negative-mu
-    # pair is unpacked as (-mu, -phi), with its covariance rows and columns.
+    # Canonical form: cos(2 pi mu tau + phi) = cos(2 pi (-mu) tau - phi), so
+    # a negative-mu pair folds to (-mu, -phi), and the pairs go in ascending
+    # detuning. One sign vector and one index array do both to the vector
+    # and its covariance.
     sign = np.ones(theta0.size)
     sign[1::3] = sign[3::3] = np.where(lm_res.params[1::3] < 0, -1.0, 1.0)
-    tau_c, comps = _unpack(lm_res.params * sign)
-    order = np.argsort([c[0] for c in comps])
-    comps = [comps[k] for k in order]
-    amps = np.array([c[1] for c in comps])
+    order = np.argsort(np.abs(lm_res.params[1::3]))
+    idx = np.r_[0, (3 * order[:, None] + np.arange(1, 4)).ravel()]
+    theta = (lm_res.params * sign)[idx]
+    tau_c = float(np.exp(theta[0]))
+    amps = _sigmoid(theta[2::3])
 
     if known_weights is not None:
         weights = np.asarray(known_weights, dtype=float)
@@ -400,30 +397,24 @@ def fit_fringe_scan(scan: FringeScan, m: int | None = None,
         vis = np.full(n_pairs, min(total, 1.0))
 
     pairs = tuple(
-        FringePairParams(weight=float(weights[j]), detuning_thz=comps[j][0],
-                         visibility=float(vis[j]), phase_deg=comps[j][2])
-        for j in range(n_pairs)
-    )
+        FringePairParams(weight=float(w), detuning_thz=float(mu),
+                         visibility=float(v), phase_deg=float(phi))
+        for w, mu, v, phi in zip(weights, theta[1::3], vis,
+                                 np.rad2deg(theta[3::3]) % 360.0))
     fitted = FringeModelParams(coherence_time_ps=tau_c, pairs=pairs)
 
-    # Delta-method transform of the internal covariance to external units,
-    # with rows permuted into ascending-detuning order.
-    n_free = 1 + 3 * n_pairs
-    dmat = np.zeros((n_free, n_free))
-    dmat[0, 0] = tau_c
-    names = ["coherence_time_ps"]
-    for new_j, old_j in enumerate(order):
-        mu, c, _ = comps[new_j]
-        base_new, base_old = 1 + 3 * new_j, 1 + 3 * old_j
-        dmat[base_new + 0, base_old + 0] = 1.0
-        dmat[base_new + 1, base_old + 1] = c * (1.0 - c)
-        dmat[base_new + 2, base_old + 2] = 180.0 / np.pi
-        names += [f"detuning_thz_{new_j}", f"amplitude_{new_j}", f"phase_deg_{new_j}"]
-    covariance = dmat @ (lm_res.covariance * np.outer(sign, sign)) @ dmat.T
+    # Delta method: on the canonical vector the map to external units is
+    # diagonal (e^theta0, then per pair 1, A(1 - A), 180/pi). Adding 0.0
+    # turns -0.0 into 0.0, so a zero entry reads the same whatever its sign.
+    scale = np.r_[tau_c, np.tile([1.0, 0.0, 180.0 / np.pi], n_pairs)]
+    scale[2::3] = amps * (1.0 - amps)
+    cov = (lm_res.covariance * np.outer(sign, sign))[np.ix_(idx, idx)]
+    names = ["coherence_time_ps"] + [f"{q}_{j}" for j in range(n_pairs) for q in
+                                     ("detuning_thz", "amplitude", "phase_deg")]
 
     return FitResult(
         params=fitted,
-        covariance=covariance,
+        covariance=scale[:, None] * cov * scale + 0.0,
         param_names=tuple(names),
         residual_norm=lm_res.residual_norm,
         n_iterations=lm_res.n_iterations,

@@ -48,11 +48,11 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold_delay(tau_ps: float, name: str = "tau1") -> float:
+def _fold_delay(tau_ps: float) -> float:
     if not np.isfinite(tau_ps):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("tau1 must be finite")
     if tau_ps < 0:
-        warnings.warn(f"negative {name} folded to |{name}|; the interference "
+        warnings.warn("negative tau1 folded to |tau1|; the interference "
                       "pattern is symmetric in the delay", stacklevel=3)
         return -tau_ps
     return float(tau_ps)

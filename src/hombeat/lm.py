@@ -90,7 +90,8 @@ def levenberg_marquardt(residual_fn, x0, max_iterations: int = MAX_ITERATIONS,
     LMResult
         Never raises for numerical trouble after a valid start: singular
         normal equations increase the damping, and a runaway damping factor
-        returns ``converged=False`` with a diagnostic message.
+        or a non-finite gradient returns ``converged=False`` with a
+        diagnostic message.
         ``n_residual_evals`` counts calls of ``residual_fn`` only, and
         ``covariance`` is (J^T J)^+ at the returned parameters.
     """
@@ -127,6 +128,9 @@ def levenberg_marquardt(residual_fn, x0, max_iterations: int = MAX_ITERATIONS,
         jac, jac_x = np.asarray(jacobian(x), dtype=float), x
         grad = jac.T @ r
         grad_norm = float(np.max(np.abs(grad)))
+        if not np.isfinite(grad_norm):
+            message = "non-finite gradient, no step possible"
+            break
         if grad_norm < GRADIENT_TOL:
             converged = True
             message = "gradient tolerance reached"

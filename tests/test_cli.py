@@ -732,17 +732,18 @@ _EDGE_VALUES = [0, -1, 3, 1e-300, 1e300, 1e308, -1e308, 10**18, 1e30, 10**400,
 
 @st.composite
 def _scenario_docs(draw):
-    """In-range values for some keys; in half the draws, one key (or an
-    unknown one) set to an edge value."""
+    """Each key, and an unknown one, independently: at an edge value with
+    probability 1/13, about one edge key per draw, else in half the draws
+    at an in-range value."""
     doc = {}
     def put(section, key, value):
         (doc.setdefault(section, {}) if section else doc)[key] = value
-    for (section, key), values in _SCENARIO_KEYS.items():
-        if draw(st.booleans()):
-            put(section, key, draw(values))
-    if draw(st.booleans()):
-        section, key = draw(st.sampled_from([*_SCENARIO_KEYS, (None, "bogus")]))
-        put(section, key, draw(st.sampled_from(_EDGE_VALUES)))
+    keys = [*_SCENARIO_KEYS, (None, "bogus")]
+    for section, key in keys:
+        if draw(st.integers(1, len(keys))) == 1:
+            put(section, key, draw(st.sampled_from(_EDGE_VALUES)))
+        elif (section, key) in _SCENARIO_KEYS and draw(st.booleans()):
+            put(section, key, draw(_SCENARIO_KEYS[section, key]))
     return doc
 
 

@@ -8,6 +8,7 @@ from hombeat.fringes import (
     FringePairParams,
     FringeScan,
     _pack,
+    _sigmoid,
     _theta_jacobian,
     _theta_model,
     fit_fringe_scan,
@@ -325,6 +326,39 @@ class TestVisibilitySplit:
             fit_fringe_scan(scan, 4, known_weights=(1.2, -0.2))
 
 
+def pairwise_canonical_form(theta, internal_cov, known_weights):
+    """Independent construction of a fit's external parameters and covariance
+    from the LM's internal vector: pair tuples folded and sorted one by one,
+    and a delta-method matrix filled pair by pair with the permutation."""
+    sign = np.ones(theta.size)
+    sign[1::3] = sign[3::3] = np.where(theta[1::3] < 0, -1.0, 1.0)
+    folded = theta * sign
+    tau_c = float(np.exp(folded[0]))
+    comps = [(float(mu), float(_sigmoid(z)), float(np.rad2deg(phi) % 360.0))
+             for mu, z, phi in folded[1:].reshape(-1, 3)]
+    order = np.argsort([c[0] for c in comps])
+    comps = [comps[k] for k in order]
+    amps = np.array([c[1] for c in comps])
+    if known_weights is None:
+        weights = amps / amps.sum()
+        vis = np.full(amps.size, min(float(amps.sum()), 1.0))
+    else:
+        weights = np.asarray(known_weights)
+        vis = np.minimum(amps / weights, 1.0)
+    params = FringeModelParams(tau_c, tuple(
+        FringePairParams(float(w), mu, float(v), phase)
+        for w, (mu, _, phase), v in zip(weights, comps, vis)))
+    dmat = np.zeros((theta.size, theta.size))
+    dmat[0, 0] = tau_c
+    for new_j, old_j in enumerate(order):
+        c = comps[new_j][1]
+        base_new, base_old = 1 + 3 * new_j, 1 + 3 * old_j
+        dmat[base_new, base_old] = 1.0
+        dmat[base_new + 1, base_old + 1] = c * (1.0 - c)
+        dmat[base_new + 2, base_old + 2] = 180.0 / np.pi
+    return params, dmat @ (internal_cov * np.outer(sign, sign)) @ dmat.T
+
+
 class TestFitFringeScan:
     def test_bin_count_or_initial_is_required(self):
         # The scan's beat spectrum does not choose m: the source's bins do.
@@ -377,27 +411,32 @@ class TestFitFringeScan:
 
     def test_negative_detuning_is_folded_with_its_phase(self, monkeypatch):
         # cos(2 pi (-mu) tau + phi) = cos(2 pi mu tau - phi): a pair the LM
-        # leaves at negative mu must come back at (|mu|, -phi), and the
-        # delta-method rows of mu and phi change sign with it.
-        theta = np.array([0.0, -4.0, 0.5, np.deg2rad(150.0)])
-        root = np.random.default_rng(3).normal(size=(4, 4))
+        # leaves at negative mu must come back at (|mu|, -phi), the pairs in
+        # ascending detuning, and the covariance rows and columns of mu and
+        # phi must change sign and move with their pair. The stub's pairs
+        # sit at mu = 6, -2.5, 4 and the middle pair's phase row is zero.
+        theta = np.array([-0.7, 6.0, -1.0, 0.7, -2.5, -1.5, 2.6, 4.0, -2.0, -0.4])
+        root = np.random.default_rng(3).normal(size=(theta.size, theta.size))
         internal_cov = root @ root.T
+        internal_cov[6, :] = internal_cov[:, 6] = 0.0
         monkeypatch.setattr(fringes, "levenberg_marquardt", lambda *a: LMResult(
             params=theta, cost=0.0, residual_norm=0.0, gradient_norm=0.0,
             n_iterations=1, converged=True, message="stub",
             covariance=internal_cov))
-        scan = synth_scan(single_pair(), -0.75, 0.75, 601, 0)
-        fit = fit_fringe_scan(scan, initial=single_pair())
-        (pair,) = fit.params.pairs
-        assert pair.detuning_thz == 4.0
-        assert pair.phase_deg == pytest.approx(210.0, abs=1e-12)
+        initial = FringeModelParams(0.5, tuple(
+            FringePairParams(1.0 / 3.0, mu, 0.5, 180.0) for mu in (2.0, 4.0, 6.0)))
+        scan = synth_scan(initial, -0.75, 0.75, 601, 0)
+        for known_weights in (None, (0.5, 0.3, 0.2)):
+            fit = fit_fringe_scan(scan, initial=initial, known_weights=known_weights)
+            want_params, want_cov = pairwise_canonical_form(
+                theta, internal_cov, known_weights)
+            assert [p.detuning_thz for p in fit.params.pairs] == [2.5, 4.0, 6.0]
+            assert fit.params == want_params
+            assert fit.covariance.tobytes() == want_cov.tobytes()
         t = scan.tau2_ps
+        fit = fit_fringe_scan(scan, initial=initial)
         assert np.max(np.abs(fringe_model_eval(fit.params, t)
                              - _theta_model(t, theta))) <= 1e-12
-        c = pair.amplitude
-        jac = np.diag([1.0, -1.0, c * (1.0 - c), -180.0 / np.pi])
-        assert np.allclose(fit.covariance, jac @ internal_cov @ jac.T,
-                           rtol=1e-12, atol=0.0)
 
     def test_pairs_come_back_in_ascending_detuning(self):
         truth = fringe_params_from_reference(0.37)

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,48 @@ class TestRobustness:
             levenberg_marquardt(lambda x: x, [np.nan])
         with pytest.raises(ValueError):
             levenberg_marquardt(lambda x: x, [])
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def finite_only_at_zero(x):
+    return x - 1.0 if not np.any(x) else np.full(x.size, np.nan)
+
+
+class TestUnconvergedExits:
+    # Each exit returns the start unchanged with converged=False, in well
+    # under a second, instead of raising or looping.
+    @pytest.mark.parametrize("residual, jacobian, message", [
+        (lambda x: x - 1.0, lambda x: np.full((2, 2), np.nan),
+         "non-finite gradient, no step possible"),
+        (lambda x: np.sqrt(x) - 1.0, None,
+         "non-finite gradient, no step possible"),
+        (finite_only_at_zero, None, "non-finite gradient, no step possible"),
+        (finite_only_at_zero, lambda x: np.eye(2),
+         "damping overflow, no acceptable step found"),
+        (lambda x: x - 1.0, lambda x: np.full((2, 2), 1e200),
+         "damping overflow on singular normal equations"),
+    ], ids=["nan-jacobian", "sqrt-differences", "finite-only-at-x0",
+            "no-acceptable-step", "normal-matrix-overflows"])
+    def test_exit_returns_start(self, residual, jacobian, message):
+        with deadline(1.0), np.errstate(over="ignore", invalid="ignore"):
+            res = levenberg_marquardt(residual, np.zeros(2), jacobian=jacobian)
+        assert not res.converged
+        assert res.message == message
+        assert np.array_equal(res.params, np.zeros(2))
 
 
 class TestDiagnostics:
